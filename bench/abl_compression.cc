@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "battery/battery.hh"
+#include "bench/harness.hh"
 #include "common/distributions.hh"
 #include "common/rng.hh"
 #include "common/table.hh"
@@ -229,6 +230,7 @@ main(int argc, char **argv)
     const double reserve_joules = 3000.0;
 
     const unsigned host_cpus = std::thread::hardware_concurrency();
+    const std::string git_sha = bench::sourceRevision();
 
     Table table("Ablation: raw copy-out vs measured-size compression "
                 "(transfer-bound SSD)");
@@ -288,6 +290,7 @@ main(int argc, char **argv)
     for (std::size_t i = 0; i < samples.size(); ++i) {
         const Sample &s = samples[i];
         json << "  {\"workload\": \"" << workloadName(s.workload)
+             << "\", \"git_sha\": \"" << git_sha
              << "\", \"host_cpus\": " << host_cpus
              << ", \"pages\": " << rc.pages
              << ", \"budget_pages\": " << rc.budgetPages

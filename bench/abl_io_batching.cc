@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "battery/battery.hh"
+#include "bench/harness.hh"
 #include "common/distributions.hh"
 #include "common/rng.hh"
 #include "common/table.hh"
@@ -230,6 +231,7 @@ main(int argc, char **argv)
     const double reserve_joules = 3000.0;
 
     const unsigned host_cpus = std::thread::hardware_concurrency();
+    const std::string git_sha = bench::sourceRevision();
 
     Table table("Ablation: per-page flush vs coalesced run writeback "
                 "(IOPS-bound SSD)");
@@ -303,6 +305,7 @@ main(int argc, char **argv)
     for (std::size_t i = 0; i < samples.size(); ++i) {
         const Sample &s = samples[i];
         json << "  {\"pattern\": \"" << patternName(s.pattern)
+             << "\", \"git_sha\": \"" << git_sha
              << "\", \"host_cpus\": " << host_cpus
              << ", \"pages\": " << rc.pages
              << ", \"budget_pages\": " << rc.budgetPages
@@ -331,6 +334,7 @@ main(int argc, char **argv)
              << s.joulesPerGibMeasured << "},\n";
     }
     json << "  {\"pattern\": \"zipfian_scrub\""
+         << ", \"git_sha\": \"" << git_sha << "\""
          << ", \"host_cpus\": " << host_cpus
          << ", \"pages\": " << rc.pages
          << ", \"budget_pages\": " << rc.budgetPages

@@ -1,5 +1,7 @@
 #include "bench/harness.hh"
 
+#include <cstdio>
+
 #include "common/logging.hh"
 
 namespace viyojit::bench
@@ -34,6 +36,41 @@ ExperimentConfig::defaultMmuCosts()
     costs.dirtyScanPerPage = 15_ns;
     costs.chargeScanToClock = false;
     return costs;
+}
+
+namespace
+{
+
+/** First line of a shell command's stdout ("" on any failure). */
+std::string
+commandLine(const char *command)
+{
+    FILE *pipe = ::popen(command, "r");
+    if (!pipe)
+        return "";
+    char buf[128] = {};
+    std::string line;
+    if (std::fgets(buf, sizeof(buf), pipe))
+        line = buf;
+    const bool ok = ::pclose(pipe) == 0;
+    if (!line.empty() && line.back() == '\n')
+        line.pop_back();
+    return ok ? line : "";
+}
+
+} // namespace
+
+std::string
+sourceRevision()
+{
+    const std::string sha =
+        commandLine("git rev-parse HEAD 2>/dev/null");
+    if (sha.empty())
+        return "unknown";
+    const bool dirty = !commandLine("git status --porcelain "
+                                    "--untracked-files=no 2>/dev/null")
+                            .empty();
+    return dirty ? sha + "-dirty" : sha;
 }
 
 std::uint64_t

@@ -176,6 +176,14 @@ double throughputOverhead(const ExperimentResult &viyojit,
 /** The record count a heap of the given paper-GB holds. */
 std::uint64_t recordsForHeap(double heap_paper_gb);
 
+/**
+ * Revision stamped into BENCH_*.json rows: the HEAD SHA of the git
+ * checkout the bench runs in, with a "-dirty" suffix when tracked
+ * files differ from HEAD (the rows then measure HEAD plus that
+ * diff), or "unknown" outside a checkout.
+ */
+std::string sourceRevision();
+
 } // namespace viyojit::bench
 
 #endif // VIYOJIT_BENCH_HARNESS_HH

@@ -3,7 +3,7 @@
  * CRC32C implementation: slice-by-4 table lookup.  The tables are
  * built at compile time and stored constinit so touching them from a
  * signal handler never trips lazy initialization — this TU is on the
- * sigsafe_lint fault-path audit list and must stay free of calls,
+ * pathlint sigsafe fault-path audit list and must stay free of calls,
  * allocation, and guard variables.
  */
 

@@ -8,7 +8,8 @@
  * fault path (inline persist -> sidecar commit), so it must stay
  * allocation-free, lock-free, and guard-variable-free.  The slice
  * tables are constinit namespace-scope constants — no lazy init, no
- * __cxa_guard_acquire.  tools/sigsafe_lint.py walks this TU.
+ * __cxa_guard_acquire.  `python3 tools/pathlint --contract sigsafe`
+ * walks this TU.
  */
 
 #ifndef VIYOJIT_COMMON_CHECKSUM_HH

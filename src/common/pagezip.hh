@@ -27,9 +27,10 @@
  * lying device is caught either by the decoder or by the checksum.
  *
  * ASYNC-SIGNAL-SAFETY: this codec is NOT fault-path code.  Compression
- * belongs to copier threads and the simulator only; tools/
- * sigsafe_lint.py hard-fails (no allowlist escape) if any pagezip
- * symbol becomes reachable from the SIGSEGV handler.
+ * belongs to copier threads and the simulator only;
+ * `python3 tools/pathlint --contract sigsafe` hard-fails (no
+ * allowlist escape) if any pagezip symbol becomes reachable from the
+ * SIGSEGV handler.
  */
 
 #ifndef VIYOJIT_COMMON_PAGEZIP_HH

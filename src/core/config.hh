@@ -175,19 +175,6 @@ struct ViyojitConfig
      * the paper's prototype and the A/B baseline.
      */
     bool shedBlockedEvictions = false;
-
-    /**
-     * Latency-SLO admission headroom in pages (0 = off).  The
-     * proactive-copy threshold is additionally clamped to
-     * `reachable - headroom`, so background copying keeps at least
-     * this many admission slots free even when the pressure EWMA
-     * lags a burst — bounding how often a faulting thread meets a
-     * full budget and has to evict (or wait) on the fault path.
-     * Pooled shards clamp the effective headroom to half their fair
-     * share at watermark (re-)derivation so a degraded total cannot
-     * be consumed whole by the reserve.
-     */
-    std::uint64_t sloHeadroomPages = 0;
 };
 
 } // namespace viyojit::core

@@ -31,10 +31,6 @@ DirtyBudgetController::DirtyBudgetController(PagingBackend &backend,
     recency_.reserveStaging(config.maxOutstandingIos);
     recency_.reserveDirtyBound(budget_);
     tracker_.reserve(budget_);
-    // Standalone share == the whole budget; attachBudgetPool and the
-    // retune paths re-derive for pooled shards.
-    effectiveHeadroom_ =
-        std::min(config_.sloHeadroomPages, budget_ / 2);
     backend_.setPersistClient(*this);
 }
 
@@ -72,8 +68,6 @@ DirtyBudgetController::deriveQuotaWatermarks(
     quotaLow_ = std::max<std::uint64_t>(1, batch / 2);
     quotaMid_ = std::max(quotaLow_, batch);
     quotaHigh_ = 2 * quotaMid_;
-    effectiveHeadroom_ =
-        std::min(config_.sloHeadroomPages, per_shard_share / 2);
     // The donatable gauge measures spare from quotaMid_, so moved
     // watermarks shift what steal sweeps may see.
     updateSpareGauge();
@@ -365,10 +359,7 @@ DirtyBudgetController::currentThreshold() const
     // dry), exactly when an unsharded controller would start copying.
     const std::uint64_t reachable =
         pool_ ? budget_ + pool_->available() : budget_;
-    // SLO mode: effectiveHeadroom_ admission slots stay free below
-    // whatever the pressure EWMA predicts (clamped to the fair share
-    // at derivation, and to reachable/2 inside threshold()).
-    return pressure_.threshold(reachable, effectiveHeadroom_);
+    return pressure_.threshold(reachable);
 }
 
 void
@@ -627,8 +618,6 @@ DirtyBudgetController::setDirtyBudget(std::uint64_t pages)
     // the fault path so faults still never allocate.
     tracker_.reserve(budget_);
     recency_.reserveDirtyBound(budget_);
-    effectiveHeadroom_ =
-        std::min(config_.sloHeadroomPages, budget_ / 2);
     // Shrinking below the current dirty count: evict synchronously
     // until we fit (battery fade handling, section 8).
     while (tracker_.count() > budget_)

@@ -118,11 +118,9 @@ class DirtyBudgetController : public PersistClient
      * Both triggers restore spare to `mid`, so after any migration
      * the spare sits at least `mid - low` (= high - mid) away from
      * BOTH watermarks — two shards at a boundary cannot ping-pong a
-     * batch between them.  The effective SLO headroom
-     * (ViyojitConfig::sloHeadroomPages) is re-clamped to share/2
-     * here too.  Called at attach, and again by retune paths
-     * (NvRegion::setDirtyBudget, safe-mode applyBudget) whenever the
-     * total — and with it the fair share — moves.
+     * batch between them.  Called at attach, and again by retune
+     * paths (NvRegion::setDirtyBudget, safe-mode applyBudget) whenever
+     * the total — and with it the fair share — moves.
      */
     void deriveQuotaWatermarks(std::uint64_t per_shard_share);
 
@@ -393,9 +391,6 @@ class DirtyBudgetController : public PersistClient
     std::uint64_t quotaLow_ = 0;
     std::uint64_t quotaMid_ = 1;
     std::uint64_t quotaHigh_ = 2;
-
-    /** SLO admission reserve, clamped to half the fair share. */
-    std::uint64_t effectiveHeadroom_ = 0;
 
     /** Lock-free spare-quota gauge for donor pre-filtering. */
     std::atomic<std::uint64_t> spareGauge_{0};

@@ -35,7 +35,8 @@ class DirtyPageTracker
      * Pre-size the dirty list for a dirty count up to `max_dirty`
      * (clamped to the page count), so steady-state markDirty never
      * heap-allocates — it runs on the fault path, which the real
-     * runtime enters from a signal handler (tools/sigsafe_lint.py).
+     * runtime enters from a signal handler (`python3 tools/pathlint
+     * --contract sigsafe`).
      * The list reaches this size at fixpoint anyway; reserving only
      * front-loads it.
      */

@@ -30,7 +30,7 @@ namespace viyojit::core
  * matters on the runtime substrate: a copy is launched from inside
  * the SIGSEGV admission path, where constructing a capturing closure
  * could heap-allocate — and malloc is not async-signal-safe (see
- * tools/sigsafe_lint.py).
+ * `python3 tools/pathlint --contract sigsafe`).
  */
 class PersistClient
 {

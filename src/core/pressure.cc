@@ -22,20 +22,13 @@ DirtyPagePressure::observe(std::uint64_t new_dirty_pages)
 }
 
 std::uint64_t
-DirtyPagePressure::threshold(std::uint64_t budget_pages,
-                             std::uint64_t headroom_pages) const
+DirtyPagePressure::threshold(std::uint64_t budget_pages) const
 {
     const auto pressure =
         static_cast<std::uint64_t>(std::ceil(predicted_));
     const std::uint64_t floor = budget_pages / 2;
-    std::uint64_t t = pressure >= budget_pages - floor
-                          ? floor
-                          : budget_pages - pressure;
-    // SLO mode: the reserve is a hard clamp below the prediction,
-    // but never deeper than the half-budget retention floor.
-    const std::uint64_t headroom = std::min(headroom_pages, floor);
-    t = std::min(t, budget_pages - headroom);
-    return t;
+    return pressure >= budget_pages - floor ? floor
+                                            : budget_pages - pressure;
 }
 
 } // namespace viyojit::core

@@ -40,18 +40,8 @@ class DirtyPagePressure
      * current operation is using.  Keeping half the budget for
      * retained hot pages costs nothing when demand is that far over
      * capacity anyway.
-     *
-     * `headroom_pages` (latency-SLO mode, 0 = off) additionally
-     * clamps the result to `budget - headroom`: the EWMA reacts one
-     * epoch late by construction, so an SLO deployment reserves a
-     * fixed number of admission slots that proactive copying must
-     * keep free regardless of the prediction.  The clamp never takes
-     * the threshold below half the budget's floor guard semantics:
-     * headroom is capped at budget/2, for the same
-     * hot-page-retention reason as the floor.
      */
-    std::uint64_t threshold(std::uint64_t budget_pages,
-                            std::uint64_t headroom_pages = 0) const;
+    std::uint64_t threshold(std::uint64_t budget_pages) const;
 
     void reset() { predicted_ = 0.0; }
 

@@ -56,9 +56,9 @@ ShardedBudgetDomain::applyBudget(std::uint64_t pages)
     redistributeBudget(pool_, controllers, pages,
                        /*floor_per_shard=*/2);
     // A degraded (or restored) total changes the fair share the
-    // hysteresis band and SLO headroom hang off: re-derive per shard
-    // so safe-mode shards neither donate a faded budget away against
-    // stale high watermarks nor refill in stale oversized batches.
+    // hysteresis band hangs off: re-derive per shard so safe-mode
+    // shards neither donate a faded budget away against stale high
+    // watermarks nor refill in stale oversized batches.
     const std::uint64_t share = std::max<std::uint64_t>(
         1, pages / controllers.size());
     for (DirtyBudgetController *controller : controllers)

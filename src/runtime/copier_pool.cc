@@ -9,10 +9,9 @@ namespace viyojit::runtime
 {
 
 CopierPool::CopierPool(unsigned threads, unsigned shard_count,
-                       unsigned batch, unsigned queue_capacity)
+                       unsigned queue_capacity)
     : queues_(shard_count),
       depth_(shard_count),
-      batch_(std::max(batch, 1u)),
       capacity_(queue_capacity)
 {
     if (threads == 0)
@@ -67,7 +66,7 @@ CopierPool::workerLoop()
     // give them the bounded alt-stack envelope (DESIGN.md §15).
     ensureFaultStackForThisThread();
     std::vector<Job> jobs;
-    jobs.reserve(batch_);
+    jobs.reserve(kBatchPages);
     for (;;) {
         jobs.clear();
         {
@@ -97,7 +96,7 @@ CopierPool::workerLoop()
                 // pages rather than jobs caps the bytes this worker
                 // holds in flight per batch.
                 std::size_t pages = 0;
-                while (ring.count > 0 && pages < batch_) {
+                while (ring.count > 0 && pages < kBatchPages) {
                     const Job &job = ring.slots[ring.head];
                     jobs.push_back(job);
                     pages += std::max(job.count, 1u);

@@ -15,15 +15,15 @@
  *
  * Jobs are POD on purpose: submission happens inside the SIGSEGV
  * admission path, so enqueueing must not heap-allocate (malloc is
- * not async-signal-safe — see tools/sigsafe_lint.py).  Each shard's
- * queue is a fixed-capacity ring sized at construction to the
- * shard's outstanding-IO cap, which the controller never exceeds
- * (a run of n pages costs n toward that cap but only one ring slot,
- * so slots-used <= pages-outstanding); overflow is therefore an
- * invariant violation, not backpressure.
+ * not async-signal-safe — see `python3 tools/pathlint --contract
+ * sigsafe`).  Each shard's queue is a fixed-capacity ring sized at
+ * construction to the shard's outstanding-IO cap, which the
+ * controller never exceeds (a run of n pages costs n toward that cap
+ * but only one ring slot, so slots-used <= pages-outstanding);
+ * overflow is therefore an invariant violation, not backpressure.
  *
  * Workers pop jobs from one shard's queue until the POPPED PAGE SUM
- * reaches `batch` (always at least one job), run every persist
+ * reaches kBatchPages (always at least one job), run every persist
  * back-to-back (batched SSD submission), issue one group sync via
  * copierSync() when the batch carried any multi-page run, then every
  * complete, so the shard lock is touched once per batch instead of
@@ -82,12 +82,15 @@ class CopierPool
         unsigned count;
     };
 
+    /** Pages a worker claims from one shard per batch. */
+    static constexpr unsigned kBatchPages = 8;
+
     /**
      * @param queue_capacity per-shard ring capacity; the submitter
      *        guarantees it never has more jobs queued (the
      *        controller's outstanding-IO cap).
      */
-    CopierPool(unsigned threads, unsigned shard_count, unsigned batch,
+    CopierPool(unsigned threads, unsigned shard_count,
                unsigned queue_capacity);
 
     /** Drains every queue, then joins the workers. */
@@ -138,7 +141,6 @@ class CopierPool
      */
     std::vector<std::atomic<unsigned>> depth_;
 
-    const unsigned batch_;
     const unsigned capacity_;
     std::uint64_t queued_ GUARDED_BY(lock_) = 0;
     unsigned nextShard_ GUARDED_BY(lock_) = 0;

@@ -94,8 +94,8 @@ thread_local FaultStack faultStack;
  * thread may already hold it, or any other lock) and must not
  * allocate — the registry is a fixed array of atomics for exactly
  * this reason, which is also why the static lock analysis is off
- * here.  tools/sigsafe_lint.py audits the handler's transitive
- * call graph for async-signal-unsafe calls.
+ * here.  `python3 tools/pathlint --contract sigsafe` audits the
+ * handler's transitive call graph for async-signal-unsafe calls.
  */
 void
 segvHandler(int signo, siginfo_t *info,

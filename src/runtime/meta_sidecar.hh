@@ -39,8 +39,8 @@
  * bitmap words, and a single-promoter claim flag instead of a mutex
  * (a contended commitPending still makes the data durable; its pages
  * simply stay PENDING until the next barrier, which is safe — only
- * COMMITTED claims durability).  tools/sigsafe_lint.py walks this
- * TU.
+ * COMMITTED claims durability).  `python3 tools/pathlint --contract
+ * sigsafe` walks this TU.
  */
 
 #ifndef VIYOJIT_RUNTIME_META_SIDECAR_HH

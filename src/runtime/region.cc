@@ -222,7 +222,8 @@ struct NvRegion::Shard
  * performs the pwrite without the shard lock (the page is
  * write-protected for the duration) and runs the completion under
  * it.  Enqueueing happens on the SIGSEGV admission path, so nothing
- * here may heap-allocate in steady state (tools/sigsafe_lint.py).
+ * here may heap-allocate in steady state
+ * (`python3 tools/pathlint --contract sigsafe`).
  *
  * The PagingBackend entry points run under the shard lock (the
  * controller is externally synchronized by it), which the REQUIRES
@@ -272,10 +273,6 @@ class NvRegion::ShardBackend : public core::PagingBackend,
         // faults and refreshes recency.  `flush_tlb` is implicit in
         // mprotect (the kernel shoots down stale TLB entries).
         (void)flush_tlb;
-        if (region_.config_.legacyEpochScan) {
-            scanLinear(visitor);
-            return;
-        }
         // Two-level bitmap walk: only words (and summary words) with
         // a writable page in them are touched, so a mostly-clean
         // shard scans in O(dirty), not O(pages).
@@ -343,7 +340,7 @@ class NvRegion::ShardBackend : public core::PagingBackend,
         if (!region_.copiers_) {
             // Inline mode: one vectored write, its group durability
             // barrier, then the per-page completions.
-            persistRunGlobal(shard_.firstPage + first, count);
+            persistRun(first, count);
             copierSync();
             if (client_)
                 for (unsigned i = 0; i < count; ++i)
@@ -383,32 +380,23 @@ class NvRegion::ShardBackend : public core::PagingBackend,
     void
     persistPageBlocking(PageNum page) REQUIRES(shard_.lock) override
     {
-        persistGlobal(shard_.firstPage + page);
+        persistRun(page, 1);
     }
 
     /**
      * Copier phase 1: the device write, no locks held.  This is the
-     * ONLY caller of the compressed persist variants: copier threads
-     * run outside signal context, so the codec stays off the SIGSEGV
-     * handler's call graph (tools/sigsafe_lint.py hard-fails if any
-     * pagezip symbol becomes reachable from it).
+     * ONLY caller of persistCompressed: copier threads run outside
+     * signal context, so the codec stays off the SIGSEGV handler's
+     * call graph (`python3 tools/pathlint --contract sigsafe`
+     * hard-fails if any pagezip symbol becomes reachable from it).
      */
     void
     copierPersist(PageNum first, unsigned count) override
     {
-        const bool compress = region_.config_.compressFlush;
-        if (count <= 1) {
-            if (compress)
-                persistGlobalCompressed(shard_.firstPage + first);
-            else
-                persistGlobal(shard_.firstPage + first);
-        } else {
-            if (compress)
-                persistRunGlobalCompressed(shard_.firstPage + first,
-                                           count);
-            else
-                persistRunGlobal(shard_.firstPage + first, count);
-        }
+        if (region_.config_.compressFlush)
+            persistCompressed(first, count);
+        else
+            persistRun(first, count);
     }
 
     /**
@@ -418,14 +406,11 @@ class NvRegion::ShardBackend : public core::PagingBackend,
     void
     copierSync() override
     {
-        // With a sidecar the barrier also promotes this batch's
-        // commit records (data fdatasync first, then the records:
-        // COMMITTED can never outrun its data).
-        const int error =
-            region_.meta_
-                ? region_.meta_->commitPending(region_.fd_)
-                : fdatasyncWithRetry(region_.fd_);
-        if (error != 0)
+        // The barrier also promotes this batch's commit records (data
+        // fdatasync first, then the records: COMMITTED can never
+        // outrun its data).
+        if (const int error = region_.meta_->commitPending(region_.fd_);
+            error != 0)
             fatal("group sync to backing file failed after bounded "
                   "retries: ", std::strerror(error));
     }
@@ -475,84 +460,70 @@ class NvRegion::ShardBackend : public core::PagingBackend,
     }
 
   private:
-    void
-    persistGlobal(PageNum global)
-    {
-        const std::uint64_t ps = region_.pageSize_;
-        const char *src = region_.mem_ + global * ps;
-        MetaSidecar *const meta = region_.meta_.get();
-        VIYOJIT_IGNORE_READS_BEGIN();
-        if (meta) {
-            // Commit protocol step 1: the PENDING record lands
-            // before the data write, so a crash between here and the
-            // group sync reads back as a torn flush, never as silent
-            // corruption.  The page is write-protected for the whole
-            // persist, so the CRC and the write see the same bytes.
-            meta->recordPage(
-                global, common::crc32c(src, ps),
-                region_.flushEpoch_.load(std::memory_order_relaxed),
-                region_.nextRunId_.fetch_add(
-                    1, std::memory_order_relaxed));
-        }
-        const int error =
-            pwriteFullyWithRetry(region_.fd_, src, ps, global * ps);
-        VIYOJIT_IGNORE_READS_END();
-        if (error != 0)
-            fatal("page persist to backing file failed after bounded "
-                  "retries: ", std::strerror(error));
-        if (meta)
-            meta->markWritten(global);
-        region_.bytesPersisted_.fetch_add(ps,
-                                          std::memory_order_relaxed);
-    }
+    /** Pages per vectored write; wider runs are chunked. */
+    static constexpr unsigned kIovChunk = 64;
 
     /**
-     * Vectored write of `count` contiguous pages in one submission.
-     * The iovec block lives on the stack (the inline run path is
-     * reachable from the SIGSEGV admission path, which must not
-     * heap-allocate), chunked so arbitrarily wide runs still fit.
+     * Raw persist of `count` contiguous shard-local pages from
+     * `first`: one pwrite for a single page, otherwise vectored
+     * writes.  Commit protocol step 1 runs per page before its data
+     * write: the PENDING record (CRC, flush epoch, one run id for the
+     * whole call) lands first, so a crash between here and the group
+     * sync reads back as a torn flush, never as silent corruption.
+     * The pages are write-protected for the whole persist, so the CRC
+     * and the write see the same bytes.  The iovec block lives on the
+     * stack: the inline paths are reachable from the SIGSEGV
+     * admission path, which must not heap-allocate.
      */
     void
-    persistRunGlobal(PageNum global_first, unsigned count)
+    persistRun(PageNum first, unsigned count)
     {
         const std::uint64_t ps = region_.pageSize_;
-        MetaSidecar *const meta = region_.meta_.get();
+        const PageNum global_first = shard_.firstPage + first;
+        MetaSidecar &meta = *region_.meta_;
         const std::uint64_t run_id =
-            meta ? region_.nextRunId_.fetch_add(
-                       1, std::memory_order_relaxed)
-                 : 0;
+            region_.nextRunId_.fetch_add(1, std::memory_order_relaxed);
         const std::uint64_t epoch =
-            meta ? region_.flushEpoch_.load(std::memory_order_relaxed)
-                 : 0;
-        constexpr unsigned kChunk = 64;
-        struct iovec iov[kChunk];
-        unsigned done = 0;
-        while (done < count) {
-            const unsigned n = std::min(count - done, kChunk);
+            region_.flushEpoch_.load(std::memory_order_relaxed);
+        struct iovec iov[kIovChunk];
+        for (unsigned done = 0; done < count;) {
+            const unsigned n = std::min(count - done, kIovChunk);
+            const PageNum g0 = global_first + done;
             VIYOJIT_IGNORE_READS_BEGIN();
             for (unsigned i = 0; i < n; ++i) {
-                const PageNum g = global_first + done + i;
-                iov[i].iov_base = region_.mem_ + g * ps;
+                char *const src = region_.mem_ + (g0 + i) * ps;
+                iov[i].iov_base = src;
                 iov[i].iov_len = ps;
-                if (meta)
-                    meta->recordPage(
-                        g, common::crc32c(region_.mem_ + g * ps, ps),
-                        epoch, run_id);
+                meta.recordPage(g0 + i, common::crc32c(src, ps), epoch,
+                                run_id);
             }
-            const int error = pwritevFullyWithRetry(
-                region_.fd_, iov, n, (global_first + done) * ps);
+            writeRaw(g0, iov, n);
             VIYOJIT_IGNORE_READS_END();
-            if (error != 0)
-                fatal("run persist to backing file failed after "
-                      "bounded retries: ", std::strerror(error));
-            if (meta)
-                for (unsigned i = 0; i < n; ++i)
-                    meta->markWritten(global_first + done + i);
             done += n;
         }
         region_.bytesPersisted_.fetch_add(
             static_cast<std::uint64_t>(count) * ps,
             std::memory_order_relaxed);
+    }
+
+    /**
+     * Write `n` raw page images (already recorded PENDING) to their
+     * slots starting at global page `g0`, then mark them written.
+     */
+    void
+    writeRaw(PageNum g0, struct iovec *iov, unsigned n)
+    {
+        const std::uint64_t ps = region_.pageSize_;
+        const int error =
+            n == 1 ? pwriteFullyWithRetry(region_.fd_, iov[0].iov_base,
+                                          ps, g0 * ps)
+                   : pwritevFullyWithRetry(region_.fd_, iov, n,
+                                           g0 * ps);
+        if (error != 0)
+            fatal("page persist to backing file failed after bounded "
+                  "retries: ", std::strerror(error));
+        for (unsigned i = 0; i < n; ++i)
+            region_.meta_->markWritten(g0 + i);
     }
 
     /**
@@ -573,106 +544,61 @@ class NvRegion::ShardBackend : public core::PagingBackend,
     }
 
     /**
-     * Compressed single-page persist (copier threads only).  Same
-     * commit protocol as persistGlobal, with the stored length in
-     * the PENDING record BEFORE the data write: a crash mid-write
-     * reads back as a torn compressed flush, never as silent
-     * corruption.  The codec's bypass (pagezipCompress == 0) ships
-     * the raw page instead, so incompressible data costs only the
-     * size probe.
+     * Compressed persist (copier threads only), same commit protocol
+     * as persistRun with the stored length in the PENDING record
+     * BEFORE the data write: a crash mid-write reads back as a torn
+     * compressed flush, never as silent corruption.  The codec's
+     * bypass (pagezipCompress == 0) ships the raw page instead, so
+     * incompressible data costs only the size probe.  Bypassed pages
+     * still coalesce into vectored stretches; a compressed page
+     * breaks the stretch and lands its stream at the page's own slot
+     * offset — the slot remainder stays stale, which is fine because
+     * recovery reads only storedLen bytes.
      */
     void
-    persistGlobalCompressed(PageNum global)
+    persistCompressed(PageNum first, unsigned count)
     {
         const std::uint64_t ps = region_.pageSize_;
-        const char *src = region_.mem_ + global * ps;
-        // compressFlush requires the sidecar (checked at create).
-        MetaSidecar *const meta = region_.meta_.get();
-        std::uint8_t *const scratch = compressScratch();
-        VIYOJIT_IGNORE_READS_BEGIN();
-        const std::uint64_t stored = common::pagezipCompress(
-            src, ps, scratch, common::pagezipBound(ps));
-        meta->recordPage(
-            global, common::crc32c(src, ps),
-            region_.flushEpoch_.load(std::memory_order_relaxed),
-            region_.nextRunId_.fetch_add(1,
-                                         std::memory_order_relaxed),
-            static_cast<std::uint32_t>(stored));
-        const int error =
-            stored != 0 ? pwriteFullyWithRetry(region_.fd_, scratch,
-                                               stored, global * ps)
-                        : pwriteFullyWithRetry(region_.fd_, src, ps,
-                                               global * ps);
-        VIYOJIT_IGNORE_READS_END();
-        if (error != 0)
-            fatal("compressed page persist to backing file failed "
-                  "after bounded retries: ", std::strerror(error));
-        meta->markWritten(global);
-        region_.noteCompressedShip(stored, ps);
-        region_.bytesPersisted_.fetch_add(ps,
-                                          std::memory_order_relaxed);
-    }
-
-    /**
-     * Compressed run persist (copier threads only).  Bypassed (raw)
-     * pages still coalesce into vectored stretches; a compressed
-     * page breaks the stretch and lands its stream at the page's own
-     * slot offset — the slot remainder stays stale, which is fine
-     * because recovery reads only storedLen bytes.  markWritten for
-     * raw pages happens after the pwritev that covered them.
-     */
-    void
-    persistRunGlobalCompressed(PageNum global_first, unsigned count)
-    {
-        const std::uint64_t ps = region_.pageSize_;
-        MetaSidecar *const meta = region_.meta_.get();
-        const std::uint64_t run_id = region_.nextRunId_.fetch_add(
-            1, std::memory_order_relaxed);
+        const PageNum global_first = shard_.firstPage + first;
+        MetaSidecar &meta = *region_.meta_;
+        const std::uint64_t run_id =
+            region_.nextRunId_.fetch_add(1, std::memory_order_relaxed);
         const std::uint64_t epoch =
             region_.flushEpoch_.load(std::memory_order_relaxed);
         std::uint8_t *const scratch = compressScratch();
-        constexpr unsigned kChunk = 64;
-        struct iovec iov[kChunk];
+        struct iovec iov[kIovChunk];
         PageNum raw_first = 0;
         unsigned raw_n = 0;
         const auto flush_raw = [&]() {
-            if (raw_n == 0)
-                return;
-            const int error = pwritevFullyWithRetry(
-                region_.fd_, iov, raw_n, raw_first * ps);
-            if (error != 0)
-                fatal("run persist to backing file failed after "
-                      "bounded retries: ", std::strerror(error));
-            for (unsigned i = 0; i < raw_n; ++i)
-                meta->markWritten(raw_first + i);
+            if (raw_n != 0)
+                writeRaw(raw_first, iov, raw_n);
             raw_n = 0;
         };
         VIYOJIT_IGNORE_READS_BEGIN();
         for (unsigned i = 0; i < count; ++i) {
             const PageNum g = global_first + i;
-            const char *src = region_.mem_ + g * ps;
+            char *const src = region_.mem_ + g * ps;
             const std::uint64_t stored = common::pagezipCompress(
                 src, ps, scratch, common::pagezipBound(ps));
-            meta->recordPage(g, common::crc32c(src, ps), epoch,
-                             run_id,
-                             static_cast<std::uint32_t>(stored));
+            meta.recordPage(g, common::crc32c(src, ps), epoch, run_id,
+                            static_cast<std::uint32_t>(stored));
             region_.noteCompressedShip(stored, ps);
             if (stored != 0) {
                 flush_raw();
                 if (const int error = pwriteFullyWithRetry(
                         region_.fd_, scratch, stored, g * ps);
                     error != 0)
-                    fatal("compressed run persist to backing file "
+                    fatal("compressed page persist to backing file "
                           "failed after bounded retries: ",
                           std::strerror(error));
-                meta->markWritten(g);
+                meta.markWritten(g);
                 continue;
             }
             if (raw_n == 0)
                 raw_first = g;
-            iov[raw_n].iov_base = region_.mem_ + g * ps;
+            iov[raw_n].iov_base = src;
             iov[raw_n].iov_len = ps;
-            if (++raw_n == kChunk)
+            if (++raw_n == kIovChunk)
                 flush_raw();
         }
         flush_raw();
@@ -695,30 +621,6 @@ class NvRegion::ShardBackend : public core::PagingBackend,
             if (writableWords_[w] == 0)
                 summary_[w / 64] &= ~(1ULL << (w % 64));
         }
-    }
-
-    /** Pre-optimization O(pages) sweep, kept for A/B studies. */
-    void
-    scanLinear(FunctionRef<void(PageNum, bool)> visitor)
-        REQUIRES(shard_.lock)
-    {
-        const std::uint64_t n = shard_.pages;
-        PageNum run_start = invalidPage;
-        for (PageNum p = 0; p < n; ++p) {
-            const bool writable =
-                (writableWords_[p / 64] >> (p % 64)) & 1;
-            if (writable) {
-                visitor(p, true);
-                setWritableBit(p, false);
-                if (run_start == invalidPage)
-                    run_start = p;
-            } else if (run_start != invalidPage) {
-                mprotectRange(run_start, p - run_start, PROT_READ);
-                run_start = invalidPage;
-            }
-        }
-        if (run_start != invalidPage)
-            mprotectRange(run_start, n - run_start, PROT_READ);
     }
 
     void
@@ -749,9 +651,6 @@ NvRegion::NvRegion(const std::string &backing_path, std::uint64_t bytes,
     pageSize_ = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
     if (config.dirtyBudgetPages == 0)
         fatal("runtime requires a dirty budget of at least one page");
-    if (config.compressFlush && !config.checksumCommits)
-        fatal("compressFlush requires checksumCommits: the stored "
-              "length lives in the sidecar commit record");
     if (config.compressFlush && config.copierThreads == 0)
         fatal("compressFlush requires copier threads: inline "
               "persists run on the SIGSEGV admission path, which "
@@ -785,13 +684,10 @@ NvRegion::NvRegion(const std::string &backing_path, std::uint64_t bytes,
     mem_ = static_cast<char *>(mem);
 
     const std::string meta_path = backing_path + ".meta";
-    if (config.checksumCommits && !recover_contents)
+    if (!recover_contents) {
         meta_ = MetaSidecar::create(meta_path, pageCount_, pageSize_);
-
-    if (recover_contents) {
-        if (config.checksumCommits)
-            meta_ =
-                MetaSidecar::open(meta_path, pageCount_, pageSize_);
+    } else {
+        meta_ = MetaSidecar::open(meta_path, pageCount_, pageSize_);
         loadImage();
         if (meta_) {
             recoveryReport_.sidecarFound = true;
@@ -804,7 +700,7 @@ NvRegion::NvRegion(const std::string &backing_path, std::uint64_t bytes,
                               std::memory_order_relaxed);
             nextRunId_.store(meta_->lastSealedRunId() + 1,
                              std::memory_order_relaxed);
-        } else if (config.checksumCommits) {
+        } else {
             warn("no valid sidecar for '", backing_path,
                  "': legacy image, contents load unverified");
             meta_ = MetaSidecar::create(meta_path, pageCount_,
@@ -848,28 +744,19 @@ NvRegion::NvRegion(const std::string &backing_path, std::uint64_t bytes,
             budget / (2 * shard_count), 1, budget / shard_count);
         pool_ = std::make_unique<core::BudgetPool>(
             budget, budget - per_shard_quota * shard_count);
-        quotaBatch_ = config.quotaBatchPages != 0
-                          ? config.quotaBatchPages
-                          : std::max<std::uint64_t>(
-                                1, per_shard_quota / 4);
+        quotaBatch_ = std::max<std::uint64_t>(1, per_shard_quota / 4);
     }
 
     core::ViyojitConfig core_config;
     core_config.pageSize = pageSize_;
     core_config.dirtyBudgetPages = per_shard_quota;
-    core_config.historyEpochs = config.historyEpochs;
-    core_config.pressureWeightCurrent = config.pressureWeightCurrent;
     core_config.maxOutstandingIos = config.maxOutstandingIos;
-    core_config.legacyEpochScan = config.legacyEpochScan;
     core_config.coalesceRuns = config.coalesceRuns;
     core_config.maxRunPages = config.maxRunPages;
     core_config.extentShift = config.extentShift;
     // Inline persists make the async shed degenerate to the same
-    // blocking write; gate on copiers so copiers-off regions stay
-    // bit-identical (including the shedEvictions counter).
-    core_config.shedBlockedEvictions =
-        config.shedBlockedEvictions && config.copierThreads > 0;
-    core_config.sloHeadroomPages = config.sloHeadroomPages;
+    // blocking write, so only regions with copiers shed.
+    core_config.shedBlockedEvictions = config.copierThreads > 0;
 
     if (config.copierThreads > 0) {
         // Ring capacity = the per-shard outstanding-IO cap the
@@ -877,7 +764,6 @@ NvRegion::NvRegion(const std::string &backing_path, std::uint64_t bytes,
         // submission never allocates.
         copiers_ = std::make_unique<CopierPool>(
             config.copierThreads, shard_count,
-            config.copierBatchPages,
             std::max(config.maxOutstandingIos, 1u));
     }
 
@@ -946,21 +832,15 @@ NvRegion::~NvRegion()
     copiers_.reset();
     // Destructor: best effort only — cannot throw, so a sync failure
     // is reported but not escalated.
-    if (meta_) {
-        if (const int error = meta_->commitPending(fd_); error != 0)
-            warn("commit barrier during region teardown failed: ",
-                 std::strerror(error));
-        else if (const int error2 = meta_->seal(
-                     flushEpoch_.load(std::memory_order_relaxed),
-                     nextRunId_.load(std::memory_order_relaxed));
-                 error2 != 0)
-            warn("sidecar seal during region teardown failed: ",
-                 std::strerror(error2));
-    } else if (const int error = fdatasyncWithRetry(fd_);
-               error != 0) {
-        warn("fdatasync during region teardown failed: ",
+    if (const int error = meta_->commitPending(fd_); error != 0)
+        warn("commit barrier during region teardown failed: ",
              std::strerror(error));
-    }
+    else if (const int error2 = meta_->seal(
+                 flushEpoch_.load(std::memory_order_relaxed),
+                 nextRunId_.load(std::memory_order_relaxed));
+             error2 != 0)
+        warn("sidecar seal during region teardown failed: ",
+             std::strerror(error2));
     unregisterRegion(this);
     if (mem_)
         ::munmap(mem_, bytes_);
@@ -1212,7 +1092,7 @@ NvRegion::verifyImage()
 void
 NvRegion::scrubTick(std::uint64_t max_pages)
 {
-    if (!meta_ || max_pages == 0 || pageCount_ == 0)
+    if (max_pages == 0 || pageCount_ == 0)
         return;
     std::vector<char> buf(pageSize_);
     std::vector<char> raw(pageSize_);
@@ -1286,22 +1166,16 @@ NvRegion::flushAll()
         common::MutexLock guard(shard->lock);
         flushed += shard->controller->flushAllDirty();
     }
-    if (meta_) {
-        if (const int error = meta_->commitPending(fd_); error != 0)
-            fatal("commit barrier failed after bounded retries: ",
-                  std::strerror(error));
-        // Every dirty page is now durably committed: seal the
-        // header so recovery classifies older commits as stable.
-        if (const int error = meta_->seal(
-                flushEpoch_.load(std::memory_order_relaxed),
-                nextRunId_.load(std::memory_order_relaxed));
-            error != 0)
-            fatal("sidecar seal failed: ", std::strerror(error));
-    } else if (const int error = fdatasyncWithRetry(fd_);
-               error != 0) {
-        fatal("fdatasync failed after bounded retries: ",
+    if (const int error = meta_->commitPending(fd_); error != 0)
+        fatal("commit barrier failed after bounded retries: ",
               std::strerror(error));
-    }
+    // Every dirty page is now durably committed: seal the header so
+    // recovery classifies older commits as stable.
+    if (const int error = meta_->seal(
+            flushEpoch_.load(std::memory_order_relaxed),
+            nextRunId_.load(std::memory_order_relaxed));
+        error != 0)
+        fatal("sidecar seal failed: ", std::strerror(error));
     return flushed;
 }
 
@@ -1363,13 +1237,12 @@ NvRegion::setDirtyBudget(std::uint64_t pages)
 void
 NvRegion::rederiveWatermarks(std::uint64_t total_pages)
 {
-    // Watermarks and the SLO headroom scale with the fair share, so
-    // a retuned total must re-derive them: stale high watermarks
-    // after a shrink would donate a degraded budget away, stale low
-    // watermarks after a grow would leave shards refilling in
-    // too-small batches.  One shard lock at a time under the retune
-    // mutex — same discipline (and same no-new-edges argument) as
-    // the quota sweep above.
+    // Watermarks scale with the fair share, so a retuned total must
+    // re-derive them: stale high watermarks after a shrink would
+    // donate a degraded budget away, stale low watermarks after a
+    // grow would leave shards refilling in too-small batches.  One
+    // shard lock at a time under the retune mutex — same discipline
+    // (and same no-new-edges argument) as the quota sweep above.
     const std::uint64_t share =
         std::max<std::uint64_t>(1, total_pages / shards_.size());
     for (auto &shard : shards_) {
@@ -1438,7 +1311,7 @@ NvRegion::stats() const NO_THREAD_SAFETY_ANALYSIS
         scrubMismatches_.load(std::memory_order_relaxed);
     out.scrubRepaired =
         scrubRepaired_.load(std::memory_order_relaxed);
-    out.metaEntryWriteErrors = meta_ ? meta_->entryWriteErrors() : 0;
+    out.metaEntryWriteErrors = meta_->entryWriteErrors();
     out.compressedPersists =
         compressedPersists_.load(std::memory_order_relaxed);
     out.compressBypasses =

@@ -159,20 +159,11 @@ struct RuntimeConfig
     /** Epoch length in host microseconds (paper: 1000). */
     std::uint64_t epochMicros = 1000;
 
-    unsigned historyEpochs = 64;
-    double pressureWeightCurrent = 0.75;
+    /** Cap on outstanding page copies per shard (paper: 16). */
     unsigned maxOutstandingIos = 16;
 
     /** Start the background epoch thread in create()/recover(). */
     bool startEpochThread = true;
-
-    /**
-     * Run the epoch scan as a linear sweep over every page instead of
-     * the bitmap-directed walk over the writable (written-this-epoch)
-     * set, and keep the controller's legacy epoch paths.  Mirrors
-     * core::ViyojitConfig::legacyEpochScan; for A/B validation.
-     */
-    bool legacyEpochScan = false;
 
     /**
      * Page-space shards (power of two).  1 — the default — is the
@@ -188,17 +179,12 @@ struct RuntimeConfig
      * Background copier threads draining per-shard victim queues.
      * 0 — the default — persists pages inline on the submitting
      * thread (deterministic; matches the pre-sharding runtime).
+     * With copiers, a budget-limited fault sheds its eviction to the
+     * copier pipeline and blocks only until the first completion
+     * (core::ViyojitConfig::shedBlockedEvictions); inline, the async
+     * submit would degenerate to the same blocking write.
      */
     unsigned copierThreads = 0;
-
-    /** Pages a copier worker claims from one shard per batch. */
-    unsigned copierBatchPages = 8;
-
-    /**
-     * Pages moved per borrow between a shard and the budget pool.
-     * 0 picks a quarter of the initial per-shard quota.
-     */
-    std::uint64_t quotaBatchPages = 0;
 
     /**
      * Coalesce page-number-adjacent victims into one vectored write
@@ -218,15 +204,6 @@ struct RuntimeConfig
     unsigned extentShift = 0;
 
     /**
-     * Maintain the durable metadata sidecar (`<backing>.meta`):
-     * every flushed page carries a CRC32C commit record, group syncs
-     * promote records to COMMITTED after the data fdatasync, and
-     * recovery verifies reloaded contents against them.  Off
-     * reproduces the unverified pre-sidecar runtime.
-     */
-    bool checksumCommits = true;
-
-    /**
      * Pages the background scrubber verifies against the durable
      * image per epoch boundary (epoch thread only; epochTick() never
      * scrubs).  0 — the default — disables scrubbing; tests drive
@@ -242,40 +219,15 @@ struct RuntimeConfig
      * decompresses before verifying the RAW-page CRC (DESIGN.md
      * §11).  Incompressible pages bypass to raw automatically.
      *
-     * Requires checksumCommits (the stored length lives in the
-     * commit record — without it a compressed slot is
-     * indistinguishable from raw data at recovery) and
-     * copierThreads > 0 (inline persists run on the SIGSEGV
+     * Requires copierThreads > 0 (inline persists run on the SIGSEGV
      * admission path, which must never reach the codec —
-     * tools/sigsafe_lint.py hard-fails if it does); create() rejects
-     * other combinations.  Fault-path blocking persists (synchronous
+     * `python3 tools/pathlint --contract sigsafe` hard-fails if it
+     * does); create() rejects compressFlush without copiers.
+     * Fault-path blocking persists (synchronous
      * evictions, scrub repairs) still write raw, which is safe: a
      * raw write covers the whole slot and records storedLen = 0.
      */
     bool compressFlush = false;
-
-    /**
-     * Shed fault-path blocking evictions to the copier pipeline
-     * (core::ViyojitConfig::shedBlockedEvictions): a budget-limited
-     * fault fills the async pipe with victims and blocks only until
-     * the FIRST completion, instead of paying one synchronous device
-     * write per eviction.  Enabled by default but effective only
-     * when copierThreads > 0 — with inline persists the async submit
-     * degenerates to the same blocking write, so the runtime maps it
-     * to false and copiers-off regions stay bit-identical to the
-     * pre-shedding runtime (including stats).
-     */
-    bool shedBlockedEvictions = true;
-
-    /**
-     * Latency-SLO admission headroom in pages per shard
-     * (core::ViyojitConfig::sloHeadroomPages, 0 = off): proactive
-     * copying keeps at least this many admission slots free even
-     * when the pressure EWMA lags, bounding fault-path p99 during
-     * bursts and retunes.  Clamped to half a shard's fair share at
-     * watermark derivation.
-     */
-    std::uint64_t sloHeadroomPages = 0;
 };
 
 /** Runtime statistics snapshot (coherent across shards). */
@@ -469,9 +421,6 @@ class NvRegion
     /** Handle a fault at `addr` if it belongs to this region. */
     bool handleFault(void *addr);
 
-    /** True when the durable metadata sidecar is active. */
-    bool hasSidecar() const { return meta_ != nullptr; }
-
     /** What recover() found (empty report for create()). */
     const RuntimeRecoveryReport &recoveryReport() const
     {
@@ -537,10 +486,10 @@ class NvRegion
     bool stealQuotaFor(unsigned thief);
 
     /**
-     * Re-derive every shard's quota watermarks and SLO headroom from
-     * a retuned pool total (fair share = total / shards).  Called
-     * under the retune mutex, locking one shard at a time — no
-     * all-shards lock set, no new lock-order edges.
+     * Re-derive every shard's quota watermarks from a retuned pool
+     * total (fair share = total / shards).  Called under the retune
+     * mutex, locking one shard at a time — no all-shards lock set, no
+     * new lock-order edges.
      */
     void rederiveWatermarks(std::uint64_t total_pages);
 
@@ -562,6 +511,8 @@ class NvRegion
     /** Background copiers; null when copierThreads == 0. */
     std::unique_ptr<CopierPool> copiers_;
 
+    /** Pages moved per borrow between a shard and the budget pool:
+     *  a quarter of the initial per-shard quota. */
     std::uint64_t quotaBatch_ = 1;
 
     std::thread epochThread_;
@@ -593,9 +544,9 @@ class NvRegion
         }
     }
 
-    /** Durable commit-record sidecar; null when checksumCommits is
-     *  off.  Its fault-path interface is lock-free, so persist paths
-     *  use it without extra synchronization. */
+    /** Durable commit-record sidecar (`<backing>.meta`), always
+     *  present.  Its fault-path interface is lock-free, so persist
+     *  paths use it without extra synchronization. */
     std::unique_ptr<MetaSidecar> meta_;
 
     RuntimeRecoveryReport recoveryReport_;

@@ -390,37 +390,6 @@ TEST(PressureTest, ConvergesToSteadyRate)
     EXPECT_NEAR(pressure.predicted(), 20.0, 0.01);
 }
 
-TEST(PressureTest, SloHeadroomClampsThreshold)
-{
-    // The EWMA reacts one epoch late, so SLO mode reserves a fixed
-    // headroom below the prediction-driven threshold.  With zero
-    // prediction the clamp is the whole story: threshold drops from
-    // the full budget to budget - headroom.
-    DirtyPagePressure pressure(0.75);
-    EXPECT_EQ(pressure.threshold(100), 100u);
-    EXPECT_EQ(pressure.threshold(100, 20), 80u);
-
-    // A prediction already deeper than the headroom wins (the clamp
-    // is a floor on slack, not an additive reserve).
-    pressure.observe(40); // predicted 30
-    EXPECT_EQ(pressure.threshold(100), 70u);
-    EXPECT_EQ(pressure.threshold(100, 20), 70u);
-    EXPECT_EQ(pressure.threshold(100, 40), 60u);
-}
-
-TEST(PressureTest, SloHeadroomCappedAtHalfBudget)
-{
-    // Headroom beyond half the budget would override the hot-page
-    // retention floor; it is capped instead.
-    DirtyPagePressure pressure(0.75);
-    EXPECT_EQ(pressure.threshold(100, 90), 50u);
-
-    // And the over-budget burst floor still holds with headroom set.
-    DirtyPagePressure saturated(1.0);
-    saturated.observe(500);
-    EXPECT_EQ(saturated.threshold(100, 20), 50u);
-}
-
 // ---------------------------------------------------------------------
 // Controller against a mock backend
 // ---------------------------------------------------------------------

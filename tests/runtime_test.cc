@@ -343,6 +343,53 @@ TEST_F(RegionFixture, CoalescedWithCopiersMatchesFile)
     EXPECT_EQ(std::memcmp(file_bytes.data(), data, region->size()), 0);
 }
 
+TEST_F(RegionFixture, CopierThreadsSelectEvictionShedding)
+{
+    // The same budget-pressured write stream on an inline region and
+    // on a region with copiers.  Inline, every budget-limited fault
+    // pays a blocking eviction; with copiers, it sheds the eviction
+    // to the copier pipeline instead.  Either way the recovered
+    // image is the same.
+    std::vector<std::vector<char>> images;
+    for (unsigned copiers : {0u, 2u}) {
+        const std::string path =
+            makePath("shed" + std::to_string(copiers));
+        cleanup.push_back(path + ".meta");
+        RuntimeConfig cfg = manualConfig(8);
+        cfg.copierThreads = copiers;
+        std::vector<char> expected;
+        {
+            auto region = NvRegion::create(path, 256_KiB, cfg);
+            char *data = static_cast<char *>(region->base());
+            const std::uint64_t ps = region->pageSize();
+            Rng rng(0x5bed);
+            for (int sweep = 0; sweep < 3; ++sweep) {
+                for (std::uint64_t p = 0; p < region->pageCount(); ++p)
+                    data[p * ps + rng.next() % ps] =
+                        static_cast<char>(rng.next());
+                region->epochTick();
+            }
+            const RegionStats stats = region->stats();
+            if (copiers == 0) {
+                EXPECT_EQ(stats.shedEvictions, 0u);
+                EXPECT_GT(stats.blockedEvictions, 0u);
+            } else {
+                EXPECT_GT(stats.shedEvictions, 0u);
+            }
+            EXPECT_LE(stats.dirtyPages, 8u);
+            expected.assign(data, data + region->size());
+            region->flushAll();
+        }
+        auto region = NvRegion::recover(path, manualConfig(8));
+        EXPECT_TRUE(region->recoveryReport().quarantined.empty());
+        EXPECT_EQ(std::memcmp(region->base(), expected.data(),
+                              expected.size()),
+                  0);
+        images.push_back(expected);
+    }
+    EXPECT_EQ(images[0], images[1]);
+}
+
 TEST(SyscallRetryTest, FdatasyncReportsNonRetryableErrno)
 {
     // EBADF is not transient: the helper must return it to the
@@ -482,7 +529,7 @@ TEST_F(RegionFixture, SidecarVerifiesCleanRecovery)
     const std::uint64_t ps = 4096;
     {
         auto region = NvRegion::create(path, 64_KiB, manualConfig(8));
-        ASSERT_TRUE(region->hasSidecar());
+        ASSERT_EQ(::access((path + ".meta").c_str(), F_OK), 0);
         char *data = static_cast<char *>(region->base());
         for (std::uint64_t p = 0; p < region->pageCount(); ++p)
             std::memset(data + p * ps, 'A' + static_cast<int>(p), ps);
@@ -577,24 +624,30 @@ TEST_F(RegionFixture, TornSidecarEntryLoadsPageUnverified)
 TEST_F(RegionFixture, LegacyImageWithoutSidecarLoadsUnverified)
 {
     const std::string path = makePath("legacy");
-    cleanup.push_back(path + ".meta");
+    const std::string meta_path = path + ".meta";
+    cleanup.push_back(meta_path);
     {
-        RuntimeConfig cfg = manualConfig(8);
-        cfg.checksumCommits = false; // pre-sidecar writer
-        auto region = NvRegion::create(path, 64_KiB, cfg);
-        ASSERT_FALSE(region->hasSidecar());
+        auto region = NvRegion::create(path, 64_KiB, manualConfig(8));
         char *data = static_cast<char *>(region->base());
         std::strcpy(data, "legacy but intact");
         region->flushAll();
     }
+    // A legacy image is a backing file with no sidecar beside it.
+    ASSERT_EQ(::unlink(meta_path.c_str()), 0);
+    {
+        auto region = NvRegion::recover(path, manualConfig(8));
+        const RuntimeRecoveryReport &report = region->recoveryReport();
+        EXPECT_FALSE(report.sidecarFound);
+        EXPECT_TRUE(report.quarantined.empty());
+        // A fresh sidecar starts so future flushes are verified.
+        EXPECT_EQ(::access(meta_path.c_str(), F_OK), 0);
+        EXPECT_STREQ(static_cast<const char *>(region->base()),
+                     "legacy but intact");
+        region->flushAll();
+    }
     auto region = NvRegion::recover(path, manualConfig(8));
-    const RuntimeRecoveryReport &report = region->recoveryReport();
-    EXPECT_FALSE(report.sidecarFound);
-    EXPECT_TRUE(report.quarantined.empty());
-    // A fresh sidecar starts so future flushes are verified.
-    EXPECT_TRUE(region->hasSidecar());
-    EXPECT_STREQ(static_cast<const char *>(region->base()),
-                 "legacy but intact");
+    EXPECT_TRUE(region->recoveryReport().sidecarFound);
+    EXPECT_TRUE(region->recoveryReport().quarantined.empty());
 }
 
 TEST_F(RegionFixture, ScrubTickRepairsRottedDurableCopy)
@@ -654,12 +707,6 @@ compressConfig(std::uint64_t budget)
 
 TEST_F(RegionFixture, CompressFlushRejectsUnsupportedConfigs)
 {
-    // No sidecar: the stored length would have nowhere to live, and
-    // recovery could not tell a compressed slot from raw data.
-    RuntimeConfig no_meta = compressConfig(4);
-    no_meta.checksumCommits = false;
-    EXPECT_THROW(NvRegion::create(makePath("cz_nm"), 64_KiB, no_meta),
-                 FatalError);
     // No copiers: inline persists run on the SIGSEGV admission path,
     // which must never reach the codec.
     RuntimeConfig no_copiers = compressConfig(4);
