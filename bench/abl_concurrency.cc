@@ -11,10 +11,12 @@
  * The interesting comparison is shards=1 (the pre-sharding global
  * lock) against sharded configurations: on a many-core host the
  * sharded fault path scales with threads while the global lock
- * serializes them.  `host_cpus` is recorded in every row because the
- * curve is only meaningful given the cores that ran it — on a 1-CPU
- * container every configuration time-slices one core and the sweep
- * degenerates to an overhead (not scaling) measurement.
+ * serializes them.  Every row carries the git SHA, the write-protect
+ * substrate the region ran on (userfaultfd-wp or mprotect), and
+ * `host_cpus`, because the curve is only meaningful given the code,
+ * substrate and cores that ran it — on a 1-CPU container every
+ * configuration time-slices one core and the sweep degenerates to an
+ * overhead (not scaling) measurement.
  *
  * --smoke: two gates, exit 1 on either failing.  (1) Median-of-5
  * single-thread parity — sharded (8 shards) throughput must stay
@@ -57,6 +59,7 @@
 
 #include <unistd.h>
 
+#include "bench/harness.hh"
 #include "common/distributions.hh"
 #include "common/histogram.hh"
 #include "common/rng.hh"
@@ -105,6 +108,7 @@ struct RunOutcome
     std::uint64_t shedEvictions = 0;
     std::uint64_t backoffRetries = 0;
     std::uint64_t starvedFaults = 0;
+    bool uffdWriteProtect = false;
     std::vector<runtime::RegionStats::ShardCounters> perShard;
 };
 
@@ -254,6 +258,7 @@ runOnce(const RunConfig &rc)
     out.shedEvictions = stats.shedEvictions;
     out.backoffRetries = stats.backoffRetries;
     out.starvedFaults = stats.starvedFaults;
+    out.uffdWriteProtect = stats.uffdWriteProtect;
     out.perShard = stats.perShard;
 
     // Sanity gate on the latency path: a p50 below the calibrated
@@ -512,6 +517,7 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
 
+    const std::string git_sha = bench::sourceRevision();
     std::ofstream json("BENCH_concurrency.json");
     json << "[\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -545,6 +551,9 @@ main(int argc, char **argv)
              << shardArray(r.out.perShard,
                     [](const auto &s) { return s.backoffRetries; })
              << "}"
+             << ", \"write_protect\": \""
+             << (r.out.uffdWriteProtect ? "userfaultfd-wp" : "mprotect")
+             << "\", \"git_sha\": \"" << git_sha << "\""
              << ", \"host_cpus\": " << hostCpus
              << ", \"single_cpu_warning\": "
              << (hostCpus == 1 ? "true" : "false") << "}"

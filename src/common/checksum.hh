@@ -1,10 +1,10 @@
 /**
  * @file
  * Shared CRC32C (Castagnoli) — the one checksum every durability
- * surface uses: flush-commit sidecars (sim and mprotect runtime),
+ * surface uses: flush-commit sidecars (sim and write-protect runtime),
  * plog record integrity, recovery verification, and the scrubber.
  *
- * Async-signal-safety contract: crc32c() is called from the SIGSEGV
+ * Async-signal-safety contract: crc32c() is called from the write
  * fault path (inline persist -> sidecar commit), so it must stay
  * allocation-free, lock-free, and guard-variable-free.  The slice
  * tables are constinit namespace-scope constants — no lazy init, no

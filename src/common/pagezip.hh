@@ -30,7 +30,7 @@
  * belongs to copier threads and the simulator only;
  * `python3 tools/pathlint --contract sigsafe` hard-fails (no
  * allowlist escape) if any pagezip symbol becomes reachable from the
- * SIGSEGV handler.
+ * write-fault handler.
  */
 
 #ifndef VIYOJIT_COMMON_PAGEZIP_HH

@@ -26,7 +26,7 @@ DirtyBudgetController::DirtyBudgetController(PagingBackend &backend,
     recency_.setLegacyQueue(config.legacyEpochScan);
     recency_.setExtentShift(config.extentShift);
     // Steady-state faults must not heap-allocate (the real runtime
-    // enters this path from its SIGSEGV handler): pre-size the
+    // enters this path from its write-fault handler): pre-size the
     // budget-bounded fault-path structures to their fixpoint.
     recency_.reserveStaging(config.maxOutstandingIos);
     recency_.reserveDirtyBound(budget_);
@@ -155,36 +155,48 @@ DirtyBudgetController::makeRoomForAdmission(bool allow_evict)
 bool
 DirtyBudgetController::onWriteFault(PageNum page, bool allow_evict)
 {
-    if (inFlight_[page]) {
-        // The page is being copied out; its frame is write-protected
-        // until the copy is durable (the protect-before-copy rule of
-        // section 5.1).  Block until the copy completes, after which
-        // the page is clean and we admit the write below.  It may be
-        // sitting in the staged run, where no IO exists to wait on
-        // yet; submit the run first.
-        if (isStaged(page))
-            flushPendingRun();
-        ++stats_.inFlightWaits;
-        backend_.waitForPersist(page);
-        VIYOJIT_ASSERT(!inFlight_[page], "wait did not complete copy");
-    }
+    // Both waits below release the caller's lock on a threaded
+    // substrate, so another thread may admit, evict or start copying
+    // this very page meanwhile: re-classify it after every wait.
+    // Unprotecting a page that went in flight during the wait would
+    // let a store slip past its copy, after which the completion
+    // marks the still-writable page clean and later stores are lost.
+    for (;;) {
+        if (inFlight_[page]) {
+            // The page is being copied out; its frame is
+            // write-protected until the copy is durable (the
+            // protect-before-copy rule of section 5.1).  Block until
+            // the copy completes.  It may be sitting in the staged
+            // run, where no IO exists to wait on yet; submit the run
+            // first.
+            if (isStaged(page))
+                flushPendingRun();
+            ++stats_.inFlightWaits;
+            backend_.waitForPersist(page);
+            continue;
+        }
 
-    if (tracker_.isDirty(page)) {
-        // Dirty but protected: the substrate re-protected the page
-        // (the runtime's epoch re-protection does this to sample
-        // recency).  Record the update and allow the write; the page
-        // is already accounted against the budget.
-        ++stats_.writeFaults;
-        recency_.recordUpdate(page);
-        backend_.unprotectPage(page);
-        return true;
-    }
+        if (tracker_.isDirty(page)) {
+            // Dirty but protected: the substrate re-protected the
+            // page (the runtime's epoch re-protection does this to
+            // sample recency).  Record the update and allow the
+            // write; the page is already accounted against the
+            // budget.
+            ++stats_.writeFaults;
+            recency_.recordUpdate(page);
+            backend_.unprotectPage(page);
+            return true;
+        }
 
-    // Admitting a new dirty page; make room first (fig. 6 steps 5-7).
-    // A quota-starved shard reports failure *before* counting the
-    // fault, so the caller's steal-and-retry shows up as one fault.
-    if (!makeRoomForAdmission(allow_evict))
-        return false;
+        // Admitting a new dirty page; make room first (fig. 6 steps
+        // 5-7).  A quota-starved shard reports failure *before*
+        // counting the fault, so the caller's steal-and-retry shows
+        // up as one fault.
+        if (!makeRoomForAdmission(allow_evict))
+            return false;
+        if (!inFlight_[page] && !tracker_.isDirty(page))
+            break;
+    }
     ++stats_.writeFaults;
 
     // Fig. 6 step 8: unprotect, count, and list the faulting page.

@@ -14,7 +14,7 @@
  *
  * The controller is substrate-independent: it talks only to a
  * PagingBackend, so the identical code runs over the simulated MMU
- * and over real memory via mprotect.
+ * and over real memory via the write-protect runtime.
  */
 
 #ifndef VIYOJIT_CORE_CONTROLLER_HH
@@ -81,7 +81,7 @@ struct ControllerStats
  * Concurrency contract: the controller is EXTERNALLY SYNCHRONIZED —
  * it holds no lock of its own, and every method (including the
  * PersistClient completions) must run under whatever serializes the
- * owning substrate: the shard lock in the mprotect runtime (see
+ * owning substrate: the shard lock in the write-protect runtime (see
  * NvRegion::Shard, whose controller pointer is PT_GUARDED_BY the
  * shard lock — that annotation carries the machine-checked form of
  * this contract), or the single simulation thread for a

@@ -5,9 +5,10 @@
  * The dirty-budget controller (the paper's contribution) is written
  * against this interface only, so the identical policy code runs on
  * the simulated MMU/SSD (benchmarks) and on real memory via
- * mprotect/SIGSEGV (the runtime library).  The interface is exactly
- * the three primitives the paper's mechanism consumes — protect,
- * unprotect, dirty-bit check-and-clear — plus page persistence.
+ * userfaultfd-wp or mprotect (the write-protect runtime).  The
+ * interface is exactly the three primitives the paper's mechanism
+ * consumes — protect, unprotect, dirty-bit check-and-clear — plus
+ * page persistence.
  */
 
 #ifndef VIYOJIT_CORE_PAGING_BACKEND_HH
@@ -28,7 +29,7 @@ namespace viyojit::core
  * persistPageAsync outcome through it instead of per-call closures.
  * Keeping the channel a plain virtual interface (not std::function)
  * matters on the runtime substrate: a copy is launched from inside
- * the SIGSEGV admission path, where constructing a capturing closure
+ * the write-fault admission path, where constructing a capturing closure
  * could heap-allocate — and malloc is not async-signal-safe (see
  * `python3 tools/pathlint --contract sigsafe`).
  */

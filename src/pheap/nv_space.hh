@@ -4,7 +4,7 @@
  *
  * The persistent heap and the KV store run unchanged over either
  * substrate: the simulated manager (writes are charged to the MMU
- * model and tracked for durability) or the mprotect runtime (the
+ * model and tracked for durability) or the write-protect runtime (the
  * hardware faults do the tracking, so the notes are no-ops).
  */
 

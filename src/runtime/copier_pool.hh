@@ -13,7 +13,7 @@
  *   copierComplete  bookkeeping — acquires the owning shard's lock
  *                   internally and notifies waiters.
  *
- * Jobs are POD on purpose: submission happens inside the SIGSEGV
+ * Jobs are POD on purpose: submission happens inside the write-fault
  * admission path, so enqueueing must not heap-allocate (malloc is
  * not async-signal-safe — see `python3 tools/pathlint --contract
  * sigsafe`).  Each shard's queue is a fixed-capacity ring sized at
@@ -104,7 +104,7 @@ class CopierPool
 
     /**
      * True when `shard`'s ring is at least 3/4 occupied.  A single
-     * relaxed atomic load — no lock, no allocation — so the SIGSEGV
+     * relaxed atomic load — no lock, no allocation — so the write-fault
      * admission path can consult it before choosing the run path:
      * a backlogged ring means a wide run (and its group sync) would
      * serialize behind queued work, so the submitter falls back to

@@ -47,6 +47,8 @@ RegionEntry registry[maxRegions];
 std::atomic<unsigned> registryHigh{0};
 
 /**
+ * The dispositions the handler displaced, one per signal: SIGSEGV
+ * (mprotect write faults) and SIGBUS (userfaultfd-wp write faults).
  * Written once under registryLock (installHandler) before the first
  * region is live, then read lock-free by the handler.  GUARDED_BY
  * covers every writer; the handler's read is the one deliberate
@@ -54,7 +56,8 @@ std::atomic<unsigned> registryHigh{0};
  * safe because installation strictly precedes any dispatchable
  * fault.
  */
-struct sigaction previousAction GUARDED_BY(registryLock);
+struct sigaction previousSegv GUARDED_BY(registryLock);
+struct sigaction previousBus GUARDED_BY(registryLock);
 bool handlerInstalled GUARDED_BY(registryLock) = false;
 
 /**
@@ -90,6 +93,13 @@ struct FaultStack
 thread_local FaultStack faultStack;
 
 /**
+ * Write-fault handler for both substrates: mprotect faults arrive as
+ * SIGSEGV, userfaultfd-wp faults as SIGBUS with si_code BUS_ADRERR.
+ * Any other SIGBUS — hardware poison (BUS_MCEERR_AR/_AO), a mapped
+ * file truncated under a store, a queued signal — is never a write
+ * fault, whatever its address: admitting it would return into the
+ * same fault forever, so it goes straight to the previous handler.
+ *
  * Async-signal context: must not take registryLock (the faulting
  * thread may already hold it, or any other lock) and must not
  * allocate — the registry is a fixed array of atomics for exactly
@@ -103,8 +113,10 @@ segvHandler(int signo, siginfo_t *info,
 {
     const auto addr = reinterpret_cast<std::uintptr_t>(info->si_addr);
 
+    const bool write_fault =
+        signo == SIGSEGV || info->si_code == BUS_ADRERR;
     const unsigned high =
-        registryHigh.load(std::memory_order_acquire);
+        write_fault ? registryHigh.load(std::memory_order_acquire) : 0;
     for (unsigned i = 0; i < high; ++i) {
         NvRegion *region =
             registry[i].region.load(std::memory_order_acquire);
@@ -122,19 +134,21 @@ segvHandler(int signo, siginfo_t *info,
 
     // Not ours: restore and re-raise so the default disposition (or a
     // pre-existing handler) runs.
-    if (previousAction.sa_flags & SA_SIGINFO) {
-        if (previousAction.sa_sigaction) {
-            previousAction.sa_sigaction(signo, info, ucontext);
+    const struct sigaction &previous =
+        signo == SIGBUS ? previousBus : previousSegv;
+    if (previous.sa_flags & SA_SIGINFO) {
+        if (previous.sa_sigaction) {
+            previous.sa_sigaction(signo, info, ucontext);
             return;
         }
-    } else if (previousAction.sa_handler != SIG_DFL &&
-               previousAction.sa_handler != SIG_IGN &&
-               previousAction.sa_handler != nullptr) {
-        previousAction.sa_handler(signo);
+    } else if (previous.sa_handler != SIG_DFL &&
+               previous.sa_handler != SIG_IGN &&
+               previous.sa_handler != nullptr) {
+        previous.sa_handler(signo);
         return;
     }
-    signal(SIGSEGV, SIG_DFL);
-    raise(SIGSEGV);
+    signal(signo, SIG_DFL);
+    raise(signo);
 }
 
 void
@@ -148,8 +162,9 @@ installHandler() REQUIRES(registryLock)
     // to request unconditionally.
     action.sa_flags = SA_SIGINFO | SA_ONSTACK;
     sigemptyset(&action.sa_mask);
-    if (sigaction(SIGSEGV, &action, &previousAction) != 0)
-        panic("failed to install SIGSEGV handler");
+    if (sigaction(SIGSEGV, &action, &previousSegv) != 0 ||
+        sigaction(SIGBUS, &action, &previousBus) != 0)
+        panic("failed to install the write-fault handlers");
     handlerInstalled = true;
 }
 

@@ -1,9 +1,10 @@
 /**
  * @file
- * Process-wide SIGSEGV dispatch for NvRegion write faults.
+ * Process-wide write-fault dispatch for NvRegion: SIGSEGV from the
+ * mprotect substrate, SIGBUS (BUS_ADRERR) from userfaultfd-wp.
  *
  * The handler routes faults whose address falls inside a registered
- * region to that region; anything else is re-raised with the default
+ * region to that region; anything else goes to the signal's previous
  * disposition so genuine crashes still crash.
  */
 
@@ -45,7 +46,7 @@ inline constexpr unsigned long long kFaultStackBytes = 64ULL * 1024;
  */
 void ensureFaultStackForThisThread();
 
-/** Install the SIGSEGV handler (idempotent) and add a region. */
+/** Install the SIGSEGV/SIGBUS handler (idempotent) and add a region. */
 void registerRegion(NvRegion *region, void *base,
                     unsigned long long bytes);
 

@@ -1,10 +1,11 @@
 /**
  * @file
- * Durable flush-commit metadata for the mprotect runtime: a sidecar
- * file (`<backing>.meta`) holding a per-page CRC32C commit record
- * plus a double-buffered sealed header, so recovery can verify every
- * reloaded page and classify mismatches (torn flush tail vs. silent
- * corruption vs. stale epoch) instead of trusting the image blindly.
+ * Durable flush-commit metadata for the write-protect runtime: a
+ * sidecar file (`<backing>.meta`) holding a per-page CRC32C commit
+ * record plus a double-buffered sealed header, so recovery can verify
+ * every reloaded page and classify mismatches (torn flush tail vs.
+ * silent corruption vs. stale epoch) instead of trusting the image
+ * blindly.
  *
  * On-disk layout (little-endian, fixed offsets):
  *
@@ -34,7 +35,7 @@
  *                      the epoch/run high-water mark, closing the
  *                      torn-tail classification window.
  *
- * Every step reachable from the SIGSEGV admission path (1-4) is
+ * Every step reachable from the write-fault admission path (1-4) is
  * allocation-free and lock-free: fixed preallocated buffers, atomic
  * bitmap words, and a single-promoter claim flag instead of a mutex
  * (a contended commitPending still makes the data durable; its pages

@@ -24,12 +24,12 @@
 #include "runtime/fault_dispatch.hh"
 #include "runtime/meta_sidecar.hh"
 
-// ThreadSanitizer cannot see mprotect ordering: a page is always
-// write-protected before its image is read for persistence (the
-// protect-before-copy rule), so the copier's read of page contents
-// can never race an application store — but the synchronization runs
-// through the MMU, which TSan does not model.  The persistence read
-// is therefore annotated out.
+// ThreadSanitizer cannot see write-protect ordering: a page is always
+// write-protected (userfaultfd-wp or mprotect) before its image is
+// read for persistence (the protect-before-copy rule), so the
+// copier's read of page contents can never race an application
+// store — but the synchronization runs through the MMU, which TSan
+// does not model.  The persistence read is therefore annotated out.
 #if defined(__SANITIZE_THREAD__)
 #define VIYOJIT_TSAN 1
 #elif defined(__has_feature)
@@ -165,7 +165,7 @@ preadFullyWithRetry(int fd, void *buf, std::uint64_t len,
  * One page-space shard: a contiguous block of pages with its own
  * controller, writable bitmaps, lock, and IO completion variable.
  * Page numbers inside the backend and controller are SHARD-LOCAL
- * (0 .. pages-1); only mprotect/pwrite translate to global.
+ * (0 .. pages-1); only write-protect/pwrite translate to global.
  */
 struct NvRegion::Shard
 {
@@ -213,7 +213,8 @@ struct NvRegion::Shard
 };
 
 /**
- * PagingBackend over mprotect and a slice of the backing file.
+ * PagingBackend over the region's WriteProtect and a slice of the
+ * backing file.
  *
  * With no copier pool, page copies are performed inline (pwrite) —
  * the "async" interface degenerates to immediate completion, exactly
@@ -221,7 +222,7 @@ struct NvRegion::Shard
  * enqueues a POD job (this backend is the CopierClient); the copier
  * performs the pwrite without the shard lock (the page is
  * write-protected for the duration) and runs the completion under
- * it.  Enqueueing happens on the SIGSEGV admission path, so nothing
+ * it.  Enqueueing happens on the write-fault admission path, so nothing
  * here may heap-allocate in steady state
  * (`python3 tools/pathlint --contract sigsafe`).
  *
@@ -252,14 +253,14 @@ class NvRegion::ShardBackend : public core::PagingBackend,
     void
     protectPage(PageNum page) REQUIRES(shard_.lock) override
     {
-        mprotectRange(page, 1, PROT_READ);
+        protectRange(page, 1);
         setWritableBit(page, false);
     }
 
     void
     unprotectPage(PageNum page) REQUIRES(shard_.lock) override
     {
-        mprotectRange(page, 1, PROT_READ | PROT_WRITE);
+        region_.wp_.unprotect(pageAddr(page), region_.pageSize_);
         setWritableBit(page, true);
     }
 
@@ -271,7 +272,10 @@ class NvRegion::ShardBackend : public core::PagingBackend,
         // Userspace dirty-bit emulation: every epoch re-protects the
         // writable (== written-this-epoch) pages, so the next write
         // faults and refreshes recency.  `flush_tlb` is implicit in
-        // mprotect (the kernel shoots down stale TLB entries).
+        // the write-protect call (the kernel shoots down stale TLB
+        // entries).  Each contiguous run is one call: one span ioctl
+        // per epoch was measured slower, because the kernel walks and
+        // flushes the whole span (DESIGN.md §5.1).
         (void)flush_tlb;
         // Two-level bitmap walk: only words (and summary words) with
         // a writable page in them are touched, so a mostly-clean
@@ -297,8 +301,7 @@ class NvRegion::ShardBackend : public core::PagingBackend,
                     word &= word - 1;
                     visitor(p, true);
                     if (run_start != invalidPage && p != run_end) {
-                        mprotectRange(run_start,
-                                      run_end - run_start, PROT_READ);
+                        protectRange(run_start, run_end - run_start);
                         run_start = invalidPage;
                     }
                     if (run_start == invalidPage)
@@ -308,7 +311,7 @@ class NvRegion::ShardBackend : public core::PagingBackend,
             }
         }
         if (run_start != invalidPage)
-            mprotectRange(run_start, run_end - run_start, PROT_READ);
+            protectRange(run_start, run_end - run_start);
     }
 
     void
@@ -386,7 +389,7 @@ class NvRegion::ShardBackend : public core::PagingBackend,
     /**
      * Copier phase 1: the device write, no locks held.  This is the
      * ONLY caller of persistCompressed: copier threads run outside
-     * signal context, so the codec stays off the SIGSEGV handler's
+     * signal context, so the codec stays off the write-fault handler's
      * call graph (`python3 tools/pathlint --contract sigsafe`
      * hard-fails if any pagezip symbol becomes reachable from it).
      */
@@ -472,7 +475,7 @@ class NvRegion::ShardBackend : public core::PagingBackend,
      * sync reads back as a torn flush, never as silent corruption.
      * The pages are write-protected for the whole persist, so the CRC
      * and the write see the same bytes.  The iovec block lives on the
-     * stack: the inline paths are reachable from the SIGSEGV
+     * stack: the inline paths are reachable from the write-fault
      * admission path, which must not heap-allocate.
      */
     void
@@ -623,15 +626,16 @@ class NvRegion::ShardBackend : public core::PagingBackend,
         }
     }
 
-    void
-    mprotectRange(PageNum first, std::uint64_t pages, int prot)
+    char *
+    pageAddr(PageNum page) const
     {
-        if (pages == 0)
-            return;
-        const std::uint64_t ps = region_.pageSize_;
-        char *base = region_.mem_ + (shard_.firstPage + first) * ps;
-        if (::mprotect(base, pages * ps, prot) != 0)
-            panic("mprotect failed: ", std::strerror(errno));
+        return region_.mem_ + (shard_.firstPage + page) * region_.pageSize_;
+    }
+
+    void
+    protectRange(PageNum first, std::uint64_t pages)
+    {
+        region_.wp_.protect(pageAddr(first), pages * region_.pageSize_);
     }
 
     NvRegion &region_;
@@ -653,7 +657,7 @@ NvRegion::NvRegion(const std::string &backing_path, std::uint64_t bytes,
         fatal("runtime requires a dirty budget of at least one page");
     if (config.compressFlush && config.copierThreads == 0)
         fatal("compressFlush requires copier threads: inline "
-              "persists run on the SIGSEGV admission path, which "
+              "persists run on the write-fault admission path, which "
               "must never reach the codec");
 
     const int flags = recover_contents ? O_RDWR : (O_RDWR | O_CREAT |
@@ -709,8 +713,8 @@ NvRegion::NvRegion(const std::string &backing_path, std::uint64_t bytes,
     }
 
     // Fig. 6 step 1: everything starts write-protected and clean.
-    if (::mprotect(mem_, bytes_, PROT_READ) != 0)
-        fatal("initial mprotect failed: ", std::strerror(errno));
+    // The substrate (userfaultfd-wp or mprotect) is chosen here, once.
+    wp_.arm(mem_, bytes_);
 
     // Shard plan: the page space splits into power-of-two-sized
     // contiguous blocks so shardOf() is a shift.  The last shard may
@@ -842,6 +846,7 @@ NvRegion::~NvRegion()
         warn("sidecar seal during region teardown failed: ",
              std::strerror(error2));
     unregisterRegion(this);
+    wp_.close();
     if (mem_)
         ::munmap(mem_, bytes_);
     if (fd_ >= 0)
@@ -866,7 +871,7 @@ cpuRelax()
 
 /**
  * Capped exponential backoff for fault-path admission retries.  Runs
- * inside the SIGSEGV handler, so only async-signal-safe waits:
+ * inside the write-fault handler, so only async-signal-safe waits:
  * attempts 0-3 spin on a CPU relax (contention usually resolves in
  * nanoseconds), 4-7 cede the core with sched_yield (useful when the
  * holder is preempted, and the only option on a single-CPU host),
@@ -1265,6 +1270,7 @@ NvRegion::stats() const NO_THREAD_SAFETY_ANALYSIS
 
     RegionStats out;
     out.shards = shards_.size();
+    out.uffdWriteProtect = wp_.uffd();
     if (pool_)
         out.perShard.resize(shards_.size());
     std::uint64_t quotas = 0;

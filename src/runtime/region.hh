@@ -3,10 +3,12 @@
  * Real-memory Viyojit runtime (the paper's 1,500-line shared
  * library, section 5), sharded for multi-threaded applications.
  *
- * An NvRegion is an mmap'd area whose pages start write-protected;
- * SIGSEGV delivers first writes to the same DirtyBudgetController the
- * simulator uses; a background epoch thread samples update recency;
- * pages are persisted to a backing file with pwrite/fdatasync.
+ * An NvRegion is an mmap'd area whose pages start write-protected
+ * (userfaultfd-wp, or mprotect where the kernel refuses it); the
+ * write fault (SIGBUS or SIGSEGV) delivers first writes to the same
+ * DirtyBudgetController the simulator uses; a background epoch
+ * thread samples update recency; pages are persisted to a backing
+ * file with pwrite/fdatasync.
  *
  * Substitution note: the paper reads and clears hardware PTE dirty
  * bits through a kernel module.  Userspace cannot do that portably,
@@ -91,6 +93,7 @@
 #include "core/config.hh"
 #include "core/controller.hh"
 #include "core/paging_backend.hh"
+#include "runtime/write_protect.hh"
 
 struct iovec;
 
@@ -219,8 +222,8 @@ struct RuntimeConfig
      * decompresses before verifying the RAW-page CRC (DESIGN.md
      * §11).  Incompressible pages bypass to raw automatically.
      *
-     * Requires copierThreads > 0 (inline persists run on the SIGSEGV
-     * admission path, which must never reach the codec —
+     * Requires copierThreads > 0 (inline persists run on the
+     * write-fault admission path, which must never reach the codec —
      * `python3 tools/pathlint --contract sigsafe` hard-fails if it
      * does); create() rejects compressFlush without copiers.
      * Fault-path blocking persists (synchronous
@@ -242,6 +245,10 @@ struct RegionStats
 
     /** Shards in the region (1 = unsharded). */
     std::uint64_t shards = 1;
+
+    /** Write-protect substrate: true = userfaultfd-wp, false = the
+     *  mprotect fallback (DESIGN.md §5.1). */
+    bool uffdWriteProtect = false;
 
     /** Quota batches borrowed from / returned to the budget pool. */
     std::uint64_t quotaBorrowedPages = 0;
@@ -499,6 +506,9 @@ class NvRegion
     std::uint64_t bytes_;
     char *mem_ = nullptr;
     int fd_ = -1;
+
+    /** Write-protect substrate over mem_, armed once at construction. */
+    WriteProtect wp_;
 
     /** log2 of pages per shard (shard index = page >> ppsShift_). */
     unsigned ppsShift_ = 0;

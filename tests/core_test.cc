@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <functional>
 #include <set>
 #include <vector>
 
@@ -531,6 +532,73 @@ TEST(ControllerTest, BlockedEvictionProtectsBeforeCopy)
     const PageNum evicted = zero_clean ? 0 : 1;
     EXPECT_TRUE(backend.isProtected(evicted));
     EXPECT_EQ(backend.blockingCount, 1u);
+}
+
+/**
+ * A backend whose first waitForAnyPersist runs `interleave` instead of
+ * waiting: on a threaded substrate that wait releases the shard lock,
+ * so the hook plays another thread's faults and completions there.
+ */
+class InterleavingBackend : public MockBackend
+{
+  public:
+    using MockBackend::MockBackend;
+
+    void
+    waitForAnyPersist() override
+    {
+        if (interleave) {
+            // The hook's own completions are what end this wait.
+            auto hook = std::move(interleave);
+            interleave = nullptr;
+            hook();
+            return;
+        }
+        MockBackend::waitForAnyPersist();
+    }
+
+    std::function<void()> interleave;
+};
+
+TEST(ControllerTest, AdmissionRechecksPageAfterWaitingForRoom)
+{
+    // Thread A faults on page 5 with the budget full and every
+    // evictable page in flight, so it waits for a copy.  While it
+    // waits, thread B admits page 5 and a proactive copy takes it in
+    // flight.  A must not unprotect a page that is under copy: the
+    // completion would mark it clean while it stays writable, and
+    // every later store to it would be lost.
+    InterleavingBackend backend(16);
+    DirtyBudgetController ctl(backend, smallConfig(3));
+    ctl.onWriteFault(0);
+    ctl.onWriteFault(1);
+    ctl.onWriteFault(2);
+    ctl.onEpochBoundary(); // proactive copies take 0 and 1 in flight
+    ASSERT_TRUE(ctl.isInFlight(0) && ctl.isInFlight(1));
+
+    backend.interleave = [&]() {
+        backend.completeAll();
+        ctl.onWriteFault(5);
+        ctl.onWriteFault(6);
+        // Settle the other copies so only page 5 stays in flight
+        // and the budget has room when A resumes.
+        const std::deque<PageNum> queued = backend.pending;
+        for (PageNum p : queued)
+            if (p != 5)
+                backend.waitForPersist(p);
+        ASSERT_TRUE(ctl.isInFlight(5));
+        ASSERT_LT(ctl.tracker().count(), 3u);
+    };
+    ctl.onWriteFault(5);
+    ASSERT_FALSE(backend.interleave) << "A never waited for room";
+    backend.completeAll();
+
+    for (PageNum p = 0; p < 16; ++p)
+        EXPECT_TRUE(ctl.tracker().isDirty(p) || backend.isProtected(p))
+            << "page " << p << " is clean but writable";
+    EXPECT_TRUE(ctl.tracker().isDirty(5));
+    EXPECT_FALSE(backend.isProtected(5));
+    EXPECT_LE(ctl.tracker().count(), 3u);
 }
 
 TEST(ControllerTest, ZeroBudgetRejected)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Full-stack integration on REAL memory: the persistent heap and KV
- * store running inside an mprotect-tracked NvRegion, with the dirty
- * budget enforced by actual SIGSEGV faults, crash-flushed to the
+ * store running inside a write-protected NvRegion, with the dirty
+ * budget enforced by actual write faults, crash-flushed to the
  * backing file, and recovered into a warm store — the paper's
  * Redis-on-NV-DRAM scenario end to end, no simulation.
  */

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the real-memory runtime: mprotect faults, budget
+ * Tests for the real-memory runtime: write-protect faults, budget
  * enforcement on live pages, epoch recency, flush durability, and
  * crash/recovery round trips through the backing file.
  */
