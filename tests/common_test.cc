@@ -569,19 +569,85 @@ INSTANTIATE_TEST_SUITE_P(Thetas, ZipfThetaSweep,
 // CRC32C (the shared durability checksum)
 // ---------------------------------------------------------------------
 
+using Crc32cFn = std::uint32_t (*)(const void *, std::size_t,
+                                   std::uint32_t);
+
 TEST(Crc32cTest, KnownAnswerVectors)
 {
-    // The canonical Castagnoli check value (RFC 3720 appendix, and
-    // every hardware CRC32C implementation).
-    EXPECT_EQ(common::crc32c("123456789", 9), 0xE3069283u);
-    EXPECT_EQ(common::crc32c("", 0), 0u);
-    // 32 zero bytes — the iSCSI test vector.
-    const std::array<unsigned char, 32> zeros{};
-    EXPECT_EQ(common::crc32c(zeros.data(), zeros.size()),
-              0x8A9136AAu);
-    std::array<unsigned char, 32> ones;
-    ones.fill(0xFF);
-    EXPECT_EQ(common::crc32c(ones.data(), ones.size()), 0x62A8AB43u);
+    // Both the dispatching crc32c() (hardware where the CPU has it)
+    // and the table reference must hit every vector.
+    for (const Crc32cFn crc :
+         {Crc32cFn{&common::crc32c}, Crc32cFn{&common::crc32cPortable}}) {
+        // The canonical Castagnoli check value (RFC 3720 appendix,
+        // and every hardware CRC32C implementation).
+        EXPECT_EQ(crc("123456789", 9, 0), 0xE3069283u);
+        EXPECT_EQ(crc("", 0, 0), 0u);
+        // 32 zero bytes — the iSCSI test vector.
+        const std::array<unsigned char, 32> zeros{};
+        EXPECT_EQ(crc(zeros.data(), zeros.size(), 0), 0x8A9136AAu);
+        std::array<unsigned char, 32> ones;
+        ones.fill(0xFF);
+        EXPECT_EQ(crc(ones.data(), ones.size(), 0), 0x62A8AB43u);
+    }
+}
+
+TEST(Crc32cTest, MatchesPortableAtEveryLengthAlignmentAndSeed)
+{
+    // Lengths past two pages cover every residue of the 8-byte word
+    // loop and of the byte tail; every start misalignment covers the
+    // unaligned loads.
+    constexpr std::size_t kMaxLen = 8199;
+    constexpr std::size_t kMaxMisalign = 7;
+    std::vector<unsigned char> buf(kMaxLen + kMaxMisalign + 1);
+    std::uint64_t x = 0x9E3779B97F4A7C15ULL;
+    for (auto &b : buf) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        b = static_cast<unsigned char>(x);
+    }
+    const std::array<std::uint32_t, 4> seeds{0u, 0xFFFFFFFFu,
+                                             0xDEADBEEFu, 0x1EDC6F41u};
+    std::size_t mismatches = 0;
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+        for (std::size_t off = 0; off <= kMaxMisalign; ++off) {
+            const std::uint32_t seed = seeds[(len + off) % seeds.size()];
+            const unsigned char *p = buf.data() + off;
+            if (common::crc32c(p, len, seed) !=
+                common::crc32cPortable(p, len, seed)) {
+                if (++mismatches <= 8)
+                    ADD_FAILURE() << "len " << len << " misalign "
+                                  << off << " seed " << seed;
+            }
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(Crc32cTest, SeedChainsAcrossSplitsInsideTheWordLoop)
+{
+    // Splits at every offset of a multi-word buffer, from a misaligned
+    // start: the head ends mid-word and the tail resumes mid-word, so
+    // the chained seed passes through both the word loop and the byte
+    // tail on each side.
+    std::vector<unsigned char> buf(3 + 67);
+    for (std::size_t i = 0; i < buf.size(); ++i)
+        buf[i] = static_cast<unsigned char>(i * 37 + 11);
+    const unsigned char *data = buf.data() + 3;
+    const std::size_t len = buf.size() - 3;
+    for (const std::uint32_t seed : {0u, 0xCAFEF00Du}) {
+        const std::uint32_t whole =
+            common::crc32cPortable(data, len, seed);
+        ASSERT_EQ(common::crc32c(data, len, seed), whole);
+        for (std::size_t split = 0; split <= len; ++split) {
+            const std::uint32_t head =
+                common::crc32c(data, split, seed);
+            EXPECT_EQ(head, common::crc32cPortable(data, split, seed));
+            EXPECT_EQ(common::crc32c(data + split, len - split, head),
+                      whole)
+                << "split " << split << " seed " << seed;
+        }
+    }
 }
 
 TEST(Crc32cTest, SeedChainsIncrementalComputation)

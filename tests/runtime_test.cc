@@ -11,6 +11,7 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 
@@ -648,6 +649,64 @@ TEST_F(RegionFixture, LegacyImageWithoutSidecarLoadsUnverified)
     auto region = NvRegion::recover(path, manualConfig(8));
     EXPECT_TRUE(region->recoveryReport().sidecarFound);
     EXPECT_TRUE(region->recoveryReport().quarantined.empty());
+}
+
+TEST_F(RegionFixture, BatchedPromotionCommitsExactlyThePersistedRuns)
+{
+    // commitPending promotes one pwrite per run of contiguous pending
+    // pages within a 64-page snapshot word.  Persist runs and gaps —
+    // a short run, a run crossing the word boundary at page 64, an
+    // isolated page, one full word, and the region's last page — and
+    // check every persisted page, and only those, reads COMMITTED.
+    const std::string path = makePath("batchpromote");
+    const std::string meta_path = path + ".meta";
+    cleanup.push_back(meta_path);
+    const std::uint64_t ps = 4096;
+    const std::uint64_t pages = 256;
+    std::vector<bool> persisted(pages, false);
+    const auto mark = [&](std::uint64_t first, std::uint64_t count) {
+        for (std::uint64_t p = first; p < first + count; ++p)
+            persisted[p] = true;
+    };
+    mark(3, 7);    // short run inside word 0
+    mark(60, 11);  // 60..70 crosses the word 0 / word 1 boundary
+    mark(100, 1);  // isolated page
+    mark(128, 64); // all of word 2
+    mark(255, 1);  // last page of the region
+    const auto persisted_count = static_cast<std::uint64_t>(
+        std::count(persisted.begin(), persisted.end(), true));
+    {
+        auto region = NvRegion::create(path, pages * ps,
+                                       manualConfig(persisted_count));
+        char *data = static_cast<char *>(region->base());
+        for (std::uint64_t p = 0; p < pages; ++p)
+            if (persisted[p])
+                std::memset(data + p * ps, 'a' + static_cast<int>(p % 26),
+                            ps);
+        EXPECT_EQ(region->flushAll(), persisted_count);
+    }
+    {
+        auto meta = MetaSidecar::open(meta_path, pages, ps);
+        ASSERT_NE(meta, nullptr);
+        EXPECT_EQ(meta->loadStats().badEntries, 0u);
+        for (std::uint64_t p = 0; p < pages; ++p)
+            EXPECT_EQ(meta->entry(p).flags,
+                      persisted[p] ? MetaSidecar::kCommitted
+                                   : MetaSidecar::kInvalid)
+                << "page " << p;
+    }
+    auto region = NvRegion::recover(path, manualConfig(persisted_count));
+    const RuntimeRecoveryReport &report = region->recoveryReport();
+    EXPECT_TRUE(report.sidecarFound);
+    EXPECT_EQ(report.verifiedPages, persisted_count);
+    EXPECT_EQ(report.unverifiedPages, pages - persisted_count);
+    EXPECT_EQ(report.checksumMismatches, 0u);
+    EXPECT_TRUE(report.quarantined.empty());
+    const char *data = static_cast<const char *>(region->base());
+    for (std::uint64_t p = 0; p < pages; ++p)
+        EXPECT_EQ(data[p * ps + ps - 1],
+                  persisted[p] ? 'a' + static_cast<int>(p % 26) : 0)
+            << "page " << p;
 }
 
 TEST_F(RegionFixture, ScrubTickRepairsRottedDurableCopy)
