@@ -81,63 +81,54 @@ BudgetPool::destroyReclaimed(std::uint64_t pages)
 }
 
 void
-redistributeBudget(BudgetPool &pool,
-                   const std::vector<DirtyBudgetController *> &shards,
-                   std::uint64_t new_total,
-                   std::uint64_t floor_per_shard)
+retuneBudget(BudgetPool &pool, std::size_t shard_count,
+             std::uint64_t new_total, ShardVisitor with_shard)
 {
-    VIYOJIT_ASSERT(!shards.empty(), "redistribute over zero shards");
-    const std::uint64_t n = shards.size();
-    const std::uint64_t old_total = pool.totalPages();
+    VIYOJIT_ASSERT(shard_count > 0, "retune over zero shards");
     if (new_total == 0)
-        fatal("total budget must be at least one page");
+        fatal("dirty budget must be at least one page");
 
-    if (new_total > old_total)
+    const std::uint64_t old_total = pool.totalPages();
+    if (new_total >= old_total) {
         pool.grow(new_total - old_total);
-
-    // Even per-shard targets (remainder stays in the pool); floors
-    // apply only while the total can honour them for every shard.
-    const std::uint64_t share = new_total / n;
-    const std::uint64_t target =
-        new_total >= floor_per_shard * n
-            ? std::max(share, floor_per_shard)
-            : share;
-
-    // Shrinks first: claw back quota above target into the pool so
-    // the grows below never oversubscribe the (possibly smaller)
-    // total.  releaseQuota evicts synchronously when the shard's
-    // dirty count exceeds its shrunken quota — and those evictions
-    // can re-enter the quota machinery (in the simulator they
-    // advance time, firing epoch boundaries whose hysteretic refills
-    // borrow just-deposited pages back out of the pool), so the
-    // sweep retries until the full difference is destroyed, exactly
-    // like the runtime's incremental retune.
-    std::uint64_t to_destroy =
-        new_total < old_total ? old_total - new_total : 0;
-    for (;;) {
-        for (DirtyBudgetController *shard : shards) {
-            const std::uint64_t quota = shard->dirtyBudget();
-            if (quota > target)
-                pool.deposit(
-                    shard->releaseQuota(quota - target, target));
+    } else {
+        // Keep the two-page straddling floor per shard whenever the
+        // new total can honour it.
+        const std::uint64_t n = shard_count;
+        const std::uint64_t floor =
+            new_total >= 2 * n ? 2 : (new_total >= n ? 1 : 0);
+        std::uint64_t to_destroy = old_total - new_total;
+        to_destroy -= pool.confiscate(to_destroy);
+        while (to_destroy > 0) {
+            for (std::size_t i = 0; i < shard_count && to_destroy > 0;
+                 ++i) {
+                with_shard(i, [&](DirtyBudgetController &shard) {
+                    const std::uint64_t got =
+                        shard.releaseQuota(to_destroy, floor);
+                    pool.destroyReclaimed(got);
+                    to_destroy -= got;
+                });
+            }
+            // Quota borrowed mid-sweep came out of available() —
+            // concurrent faults on the runtime, or epoch-boundary
+            // refills fired by the simulator's eviction time — so
+            // claw it from there too.  Progress is guaranteed: the
+            // floors sum to at most new_total, so while the total
+            // exceeds it some shard sits above its floor or the pool
+            // has available quota.
+            to_destroy -= pool.confiscate(to_destroy);
         }
-        if (to_destroy == 0)
-            break;
-        const std::uint64_t destroyed = pool.confiscate(to_destroy);
-        // Progress is guaranteed: while total > new_total, the pool
-        // invariant (sum(quotas) + available == total, with
-        // sum(targets) <= new_total) puts reclaimable quota either
-        // above some shard's target or in available().
-        VIYOJIT_ASSERT(destroyed > 0,
-                       "budget shrink could not reclaim enough quota");
-        to_destroy -= destroyed;
     }
 
-    // Grows after the total settles: top shards up to the target.
-    for (DirtyBudgetController *shard : shards) {
-        const std::uint64_t quota = shard->dirtyBudget();
-        if (quota < target)
-            shard->grantQuota(pool.tryBorrow(target - quota));
+    // Watermarks scale with the fair share: stale high watermarks
+    // after a shrink would donate a degraded budget away, stale low
+    // watermarks after a grow would refill in too-small batches.
+    const std::uint64_t share =
+        std::max<std::uint64_t>(1, new_total / shard_count);
+    for (std::size_t i = 0; i < shard_count; ++i) {
+        with_shard(i, [share](DirtyBudgetController &shard) {
+            shard.deriveQuotaWatermarks(share);
+        });
     }
 }
 

@@ -1,13 +1,14 @@
 /**
  * @file
- * Global dirty-budget pool for sharded runtimes.
+ * Global dirty-budget pool: the one budget path of a shard set.
  *
  * The paper sizes ONE battery for ONE dirty budget.  When the page
  * space is partitioned into shards — each with its own controller and
  * lock so application threads fault concurrently — the battery-backed
  * budget must stay a single global quantity: the durability invariant
  * (section 4.1) bounds the SUM of per-shard dirty counts, not any one
- * shard's.
+ * shard's.  Every runtime region draws from a pool, a one-shard region
+ * included, and so does the simulator's sharded manager set.
  *
  * The pool is that global quantity.  Each shard controller holds a
  * local quota (its `dirtyBudget()`); unassigned pages sit here.  The
@@ -22,17 +23,20 @@
  * Shards borrow and return quota in batches (`tryBorrow`/`deposit`),
  * both lock-free CAS loops on one cache line, so the write-fault fast
  * path touches no global lock — the whole point of sharding.  Total
- * retuning (battery fade, safe-mode governor) goes through the
- * mutex-serialized grow()/confiscate() paths, which are rare.
+ * retuning (battery fade, safe-mode governor) goes through
+ * retuneBudget() below, the one retune algorithm both substrates
+ * share; it drives the mutex-serialized grow()/confiscate()/
+ * destroyReclaimed() paths, which are rare.
  */
 
 #ifndef VIYOJIT_CORE_BUDGET_POOL_HH
 #define VIYOJIT_CORE_BUDGET_POOL_HH
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
+#include "common/function_ref.hh"
 #include "common/thread_annotations.hh"
 
 namespace viyojit::core
@@ -105,7 +109,7 @@ class BudgetPool
 
     /**
      * The lock serializing total-changing operations, exposed so
-     * callers (e.g. redistributeBudget) can state EXCLUDES contracts
+     * callers (e.g. retuneBudget) can state EXCLUDES contracts
      * against it.  Lock-ordering rule 2 (region.hh): this lock nests
      * INSIDE a single shard lock and takes nothing under it.
      */
@@ -131,24 +135,34 @@ class BudgetPool
 };
 
 /**
- * Retarget a pooled shard set to a new total budget (safe-mode
- * governor, battery fade).  Shrinks are applied before the total
- * drops and grows after it rises, so the invariant `sum(quotas) +
- * available <= total` holds at every intermediate step — the battery
- * is never oversubscribed, even transiently.
- *
- * Each shard ends with at least `floor_per_shard` pages whenever
- * `new_total >= floor_per_shard * shards`; claw-backs below a
- * shard's dirty count evict synchronously (inside releaseQuota).
- *
- * Caller must serialize against the shards (hold their locks or run
- * single-threaded): controllers themselves are externally
- * synchronized.
+ * Runs the given action on one shard's controller, under whatever
+ * serializes that controller: the shard lock on the runtime, nothing
+ * on the single simulation thread.
  */
-void redistributeBudget(BudgetPool &pool,
-                        const std::vector<DirtyBudgetController *> &shards,
-                        std::uint64_t new_total,
-                        std::uint64_t floor_per_shard = 1)
+using ShardVisitor = FunctionRef<void(
+    std::size_t shard, FunctionRef<void(DirtyBudgetController &)>)>;
+
+/**
+ * Move a pooled set of `shard_count` shards to a new total budget
+ * (safe-mode governor, battery fade, NvRegion::setDirtyBudget).
+ *
+ * A grow raises only the pool total: shards borrow the new pages on
+ * demand.  A shrink first confiscates available() pages, then claws
+ * quota back shard by shard (releaseQuota, which evicts synchronously
+ * where the dirty count no longer fits) down to a per-shard floor of
+ * 2 pages — 1, then 0, when the total cannot honour that for every
+ * shard — and destroys what comes back without passing it through
+ * available(), so a concurrent borrower cannot snatch it back.  The
+ * sweep repeats until the total fits, so the pool total only ever
+ * moves down and sum(dirty) <= total holds at every intermediate
+ * step.  Finally each shard re-derives its watermarks from the new
+ * fair share, `new_total / shard_count`.
+ *
+ * `with_shard` visits one shard at a time; the caller must not hold
+ * the pool's retune lock.
+ */
+void retuneBudget(BudgetPool &pool, std::size_t shard_count,
+                  std::uint64_t new_total, ShardVisitor with_shard)
     EXCLUDES(pool.retuneLock());
 
 } // namespace viyojit::core

@@ -28,15 +28,6 @@ struct ViyojitConfig
     /** Epoch length for dirty-bit scans (paper: 1 ms). */
     Tick epochLength = 1_ms;
 
-    /** Epochs of update history kept per page (paper: 64). */
-    unsigned historyEpochs = 64;
-
-    /**
-     * EWMA weight of the current epoch's new-dirty count when
-     * predicting dirty page pressure (paper: 0.75).
-     */
-    double pressureWeightCurrent = 0.75;
-
     /** Cap on outstanding proactive-copy IOs (paper: 16). */
     unsigned maxOutstandingIos = 16;
 

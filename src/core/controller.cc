@@ -13,8 +13,7 @@ DirtyBudgetController::DirtyBudgetController(PagingBackend &backend,
       config_(config),
       budget_(config.dirtyBudgetPages),
       tracker_(backend.pageCount()),
-      recency_(backend.pageCount(), config.historyEpochs),
-      pressure_(config.pressureWeightCurrent),
+      recency_(backend.pageCount()),
       inFlight_(backend.pageCount(), 0),
       bridged_(backend.pageCount(), 0)
 {
@@ -47,15 +46,9 @@ DirtyBudgetController::attachBudgetPool(BudgetPool *pool,
     pool_ = pool;
     borrowBatch_ = std::max<std::uint64_t>(borrow_batch, 1);
     // Identity derivation until the owner states the per-shard fair
-    // share (2 * batch leaves the batch unclamped); the sharded
-    // runtime and the retune paths re-derive with the real share.
+    // share (2 * batch leaves the batch unclamped); the runtime and
+    // retuneBudget re-derive with the real share.
     deriveQuotaWatermarks(2 * borrowBatch_);
-    // A pooled shard's quota can grow to the whole battery budget
-    // via borrows; re-reserve to the pool total so those borrows
-    // never push a fault-path insert into a reallocation.
-    tracker_.reserve(pool->totalPages());
-    recency_.reserveDirtyBound(pool->totalPages());
-    updateSpareGauge();
 }
 
 void
@@ -68,6 +61,11 @@ DirtyBudgetController::deriveQuotaWatermarks(
     quotaLow_ = std::max<std::uint64_t>(1, batch / 2);
     quotaMid_ = std::max(quotaLow_, batch);
     quotaHigh_ = 2 * quotaMid_;
+    // A pooled shard's quota can grow to the whole battery budget
+    // via borrows; reserve to the pool total so those borrows never
+    // push a fault-path insert into a reallocation.
+    tracker_.reserve(pool_->totalPages());
+    recency_.reserveDirtyBound(pool_->totalPages());
     // The donatable gauge measures spare from quotaMid_, so moved
     // watermarks shift what steal sweeps may see.
     updateSpareGauge();
@@ -368,7 +366,7 @@ DirtyBudgetController::currentThreshold() const
     // every epoch no matter how much global budget sits unused.
     // Entitlement restores the intended trigger: proactive copying
     // ramps up as the *global* budget nears exhaustion (pool runs
-    // dry), exactly when an unsharded controller would start copying.
+    // dry), exactly when a standalone controller would start copying.
     const std::uint64_t reachable =
         pool_ ? budget_ + pool_->available() : budget_;
     return pressure_.threshold(reachable);
@@ -624,7 +622,7 @@ DirtyBudgetController::setDirtyBudget(std::uint64_t pages)
         fatal("dirty budget must be at least one page");
     if (pool_)
         fatal("a pooled shard's quota is managed by the budget pool; "
-              "use releaseQuota/grantQuota or redistributeBudget");
+              "retune the total with core::retuneBudget");
     budget_ = pages;
     // A grown budget raises the fault-path fixpoint; re-reserve off
     // the fault path so faults still never allocate.

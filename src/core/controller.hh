@@ -118,9 +118,10 @@ class DirtyBudgetController : public PersistClient
      * Both triggers restore spare to `mid`, so after any migration
      * the spare sits at least `mid - low` (= high - mid) away from
      * BOTH watermarks — two shards at a boundary cannot ping-pong a
-     * batch between them.  Called at attach, and again by retune
-     * paths (NvRegion::setDirtyBudget, safe-mode applyBudget) whenever
-     * the total — and with it the fair share — moves.
+     * batch between them.  Called at attach, and again by
+     * core::retuneBudget whenever the total — and with it the fair
+     * share — moves.  Also re-reserves the fault-path structures to
+     * the pool total, so borrows into a grown total never allocate.
      */
     void deriveQuotaWatermarks(std::uint64_t per_shard_share);
 
@@ -201,18 +202,18 @@ class DirtyBudgetController : public PersistClient
      * Retune the budget at runtime (battery fade, section 8).  If the
      * new budget is below the current dirty count, pages are evicted
      * synchronously until the count fits.  Standalone mode only: a
-     * pooled controller's quota is managed through the pool
-     * (releaseQuota/grantQuota/redistributeBudget).
+     * pooled controller's quota moves through the pool, and its
+     * total through core::retuneBudget.
      */
     void setDirtyBudget(std::uint64_t pages);
 
     /**
      * Give up to `want` pages of quota, never dropping the local
      * budget below `floor`; evicts synchronously while the dirty
-     * count exceeds the shrunken quota.  Used for cross-shard quota
-     * steals and budget retuning.  The released pages are returned
-     * to the caller (not deposited anywhere) — hand them to the pool
-     * or to another shard's grantQuota.
+     * count exceeds the shrunken quota.  The shrink half of
+     * core::retuneBudget.  The released pages are returned to the
+     * caller (not deposited anywhere): the retune destroys them out
+     * of the pool total.
      */
     std::uint64_t releaseQuota(std::uint64_t want, std::uint64_t floor);
 
@@ -226,13 +227,6 @@ class DirtyBudgetController : public PersistClient
      * caller should then evict locally rather than churn quota.
      */
     std::uint64_t releaseDonatableQuota();
-
-    /** Add quota pages taken from the pool or a sibling shard. */
-    void grantQuota(std::uint64_t pages)
-    {
-        budget_ += pages;
-        updateSpareGauge();
-    }
 
     std::uint64_t dirtyBudget() const { return budget_; }
 
@@ -383,7 +377,7 @@ class DirtyBudgetController : public PersistClient
     ViyojitConfig config_;
     std::uint64_t budget_;
 
-    /** Shared quota pool (sharded runtimes); null when standalone. */
+    /** Shared quota pool; null for a standalone controller. */
     BudgetPool *pool_ = nullptr;
     std::uint64_t borrowBatch_ = 1;
 

@@ -46,23 +46,12 @@ ShardedBudgetDomain::ctx()
 void
 ShardedBudgetDomain::applyBudget(std::uint64_t pages)
 {
-    std::vector<DirtyBudgetController *> controllers;
-    controllers.reserve(shards_.size());
-    for (ViyojitManager *shard : shards_)
-        controllers.push_back(&shard->controller());
-    // Keep each shard's two-page straddling guard whenever the total
-    // can honour it (the governor's minBudgetPages for a sharded
-    // domain is 2 x shards, so in practice it always can).
-    redistributeBudget(pool_, controllers, pages,
-                       /*floor_per_shard=*/2);
-    // A degraded (or restored) total changes the fair share the
-    // hysteresis band hangs off: re-derive per shard so safe-mode
-    // shards neither donate a faded budget away against stale high
-    // watermarks nor refill in stale oversized batches.
-    const std::uint64_t share = std::max<std::uint64_t>(
-        1, pages / controllers.size());
-    for (DirtyBudgetController *controller : controllers)
-        controller->deriveQuotaWatermarks(share);
+    // One simulation thread: the controllers need no lock.
+    retuneBudget(pool_, shards_.size(), pages,
+                 [this](std::size_t i,
+                        FunctionRef<void(DirtyBudgetController &)> fn) {
+                     fn(shards_[i]->controller());
+                 });
 }
 
 double

@@ -132,9 +132,11 @@ class ManagerBudgetDomain : public BudgetDomain
 /**
  * BudgetDomain over a sharded manager set sharing one BudgetPool.
  * Every manager's controller must already be attached to `pool`;
- * applyBudget redistributes the new total across shard quotas and
- * the pool (core::redistributeBudget), keeping at least the two-page
- * straddling-store floor per shard whenever the total allows.
+ * applyBudget moves the pool to the new total through
+ * core::retuneBudget, the retune the runtime's NvRegion shares: a
+ * grow lets shards borrow on demand, a shrink claws quota back down
+ * to the two-page straddling-store floor per shard whenever the total
+ * allows.
  */
 class ShardedBudgetDomain : public BudgetDomain
 {
@@ -152,7 +154,7 @@ class ShardedBudgetDomain : public BudgetDomain
     sim::SimContext &ctx() override;
 
     /**
-     * Redistributes through core::redistributeBudget, which takes
+     * Retunes through core::retuneBudget, which takes
      * the pool's retune mutex — so the caller must not hold it
      * (machine-checked: a governor callback fired while a retune is
      * in progress on the same thread would self-deadlock).

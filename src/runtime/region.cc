@@ -737,19 +737,16 @@ NvRegion::NvRegion(const std::string &backing_path, std::uint64_t bytes,
     const unsigned shard_count =
         static_cast<unsigned>((pageCount_ + pps - 1) / pps);
 
-    std::uint64_t per_shard_quota = budget;
-    if (shard_count > 1) {
-        if (budget < shard_count)
-            fatal("sharded region needs a dirty budget of at least "
-                  "one page per shard");
-        // Initial split leaves roughly half the budget in the pool
-        // as migration headroom for bursting shards.
-        per_shard_quota = std::clamp<std::uint64_t>(
-            budget / (2 * shard_count), 1, budget / shard_count);
-        pool_ = std::make_unique<core::BudgetPool>(
-            budget, budget - per_shard_quota * shard_count);
-        quotaBatch_ = std::max<std::uint64_t>(1, per_shard_quota / 4);
-    }
+    if (budget < shard_count)
+        fatal("region needs a dirty budget of at least one page per "
+              "shard");
+    // Initial split leaves roughly half the budget in the pool as
+    // migration headroom for bursting shards.
+    const std::uint64_t per_shard_quota = std::clamp<std::uint64_t>(
+        budget / (2 * shard_count), 1, budget / shard_count);
+    pool_ = std::make_unique<core::BudgetPool>(
+        budget, budget - per_shard_quota * shard_count);
+    quotaBatch_ = std::max<std::uint64_t>(1, per_shard_quota / 4);
 
     core::ViyojitConfig core_config;
     core_config.pageSize = pageSize_;
@@ -789,15 +786,11 @@ NvRegion::NvRegion(const std::string &backing_path, std::uint64_t bytes,
         shard->controller =
             std::make_unique<core::DirtyBudgetController>(
                 *shard->backend, core_config);
-        if (pool_) {
-            shard->controller->attachBudgetPool(pool_.get(),
-                                                quotaBatch_);
-            // Watermarks hang off the FAIR share (budget / shards),
-            // not the deliberately-low initial quota, so a shard
-            // that warms up migrates toward its share in batches.
-            shard->controller->deriveQuotaWatermarks(
-                budget / shard_count);
-        }
+        shard->controller->attachBudgetPool(pool_.get(), quotaBatch_);
+        // Watermarks hang off the FAIR share (budget / shards), not
+        // the deliberately-low initial quota, so a shard that warms
+        // up migrates toward its share in batches.
+        shard->controller->deriveQuotaWatermarks(budget / shard_count);
         shard->gaugeView = shard->controller.get();
         shards_.push_back(std::move(shard));
     }
@@ -912,13 +905,11 @@ NvRegion::handleFault(void *addr)
     const PageNum page = (a - base) / pageSize_;
     Shard &shard = *shards_[shardOf(page)];
     const PageNum local = page - shard.firstPage;
-    // Pooled shards first try to admit WITHOUT evicting: spare quota
-    // idling in a sibling is free, an eviction costs an SSD write.
-    // Only once a full donor sweep finds no spare does the retry
-    // permit a local eviction.  Standalone (shards=1, no pool) always
-    // evicts directly — onWriteFault never fails there, so the retry
-    // loop (and its counters) is dead code unsharded.
-    bool allow_evict = pool_ == nullptr;
+    // Shards first try to admit WITHOUT evicting: spare quota idling
+    // in the pool or a sibling is free, an eviction costs an SSD
+    // write.  Only once a full donor sweep finds no spare does the
+    // retry permit a local eviction.
+    bool allow_evict = false;
     unsigned attempt = 0;
     for (;;) {
         {
@@ -1187,73 +1178,22 @@ NvRegion::flushAll()
 void
 NvRegion::setDirtyBudget(std::uint64_t pages)
 {
-    if (!pool_) {
-        common::MutexLock guard(shards_[0]->lock);
-        shards_[0]->controller->setDirtyBudget(pages);
-        return;
-    }
-    if (pages == 0)
-        fatal("dirty budget must be at least one page");
-
     // Whole-region retune, done INCREMENTALLY — one shard lock at a
     // time, never all at once.  A shrink can block on in-flight
     // copier IO (releaseQuota evicts synchronously, and the cv wait
     // releases only the one lock it adopted), so holding the other
     // shard locks across it would let faulting threads race the
     // redistribution books — and TSan rightly calls the re-acquire a
-    // lock-order inversion.  Instead, reclaimed quota is destroyed
-    // straight out of the donor (destroyReclaimed never lets it
-    // touch available()), so the pool total only moves down, and
-    // sum(dirty) <= total holds at every intermediate step.
+    // lock-order inversion.
     common::MutexLock retune_guard(retuneLock_);
-    const std::uint64_t old_total = pool_->totalPages();
-    if (pages >= old_total) {
-        pool_->grow(pages - old_total);
-        rederiveWatermarks(pages);
-        return;
-    }
-
-    // Keep the two-page straddling floor per shard whenever the new
-    // total can honour it (mirrors core::redistributeBudget).
-    const std::uint64_t n = shards_.size();
-    const std::uint64_t floor =
-        pages >= 2 * n ? 2 : (pages >= n ? 1 : 0);
-
-    std::uint64_t to_destroy = old_total - pages;
-    to_destroy -= pool_->confiscate(to_destroy);
-    while (to_destroy > 0) {
-        for (std::size_t i = 0; i < n && to_destroy > 0; ++i) {
-            Shard &donor = *shards_[i];
-            common::MutexLock guard(donor.lock);
-            const std::uint64_t got =
-                donor.controller->releaseQuota(to_destroy, floor);
-            pool_->destroyReclaimed(got);
-            to_destroy -= got;
-        }
-        // Quota borrowed mid-sweep came out of available(); claw it
-        // from there too.  Progress is guaranteed: floors sum to at
-        // most `pages`, so while total > pages, some shard sits
-        // above its floor or the pool has available quota.
-        to_destroy -= pool_->confiscate(to_destroy);
-    }
-    rederiveWatermarks(pages);
-}
-
-void
-NvRegion::rederiveWatermarks(std::uint64_t total_pages)
-{
-    // Watermarks scale with the fair share, so a retuned total must
-    // re-derive them: stale high watermarks after a shrink would
-    // donate a degraded budget away, stale low watermarks after a
-    // grow would leave shards refilling in too-small batches.  One
-    // shard lock at a time under the retune mutex — same discipline
-    // (and same no-new-edges argument) as the quota sweep above.
-    const std::uint64_t share =
-        std::max<std::uint64_t>(1, total_pages / shards_.size());
-    for (auto &shard : shards_) {
-        common::MutexLock guard(shard->lock);
-        shard->controller->deriveQuotaWatermarks(share);
-    }
+    core::retuneBudget(
+        *pool_, shards_.size(), pages,
+        [this](std::size_t i,
+               FunctionRef<void(core::DirtyBudgetController &)> fn) {
+            Shard &shard = *shards_[i];
+            common::MutexLock guard(shard.lock);
+            fn(*shard.controller);
+        });
 }
 
 // The ascending sweep over ALL shard locks is a dynamic lock set the
@@ -1271,9 +1211,7 @@ NvRegion::stats() const NO_THREAD_SAFETY_ANALYSIS
     RegionStats out;
     out.shards = shards_.size();
     out.uffdWriteProtect = wp_.uffd();
-    if (pool_)
-        out.perShard.resize(shards_.size());
-    std::uint64_t quotas = 0;
+    out.perShard.resize(shards_.size());
     for (std::size_t i = 0; i < shards_.size(); ++i) {
         const Shard &shard = *shards_[i];
         const core::ControllerStats &cs = shard.controller->stats();
@@ -1295,14 +1233,11 @@ NvRegion::stats() const NO_THREAD_SAFETY_ANALYSIS
         out.starvedFaults +=
             shard.starvedFaults.load(std::memory_order_relaxed);
         out.dirtyPages += shard.controller->tracker().count();
-        quotas += shard.controller->dirtyBudget();
-        if (pool_) {
-            RegionStats::ShardCounters &ps = out.perShard[i];
-            ps.steals = steals;
-            ps.watermarkRefills = cs.watermarkRefills;
-            ps.proactiveDonations = cs.proactiveDonations;
-            ps.backoffRetries = backoffs;
-        }
+        RegionStats::ShardCounters &ps = out.perShard[i];
+        ps.steals = steals;
+        ps.watermarkRefills = cs.watermarkRefills;
+        ps.proactiveDonations = cs.proactiveDonations;
+        ps.backoffRetries = backoffs;
     }
     // Epochs advance in lockstep across shards; report one, not n.
     out.epochs = shards_[0]->controller->stats().epochs;
@@ -1324,12 +1259,8 @@ NvRegion::stats() const NO_THREAD_SAFETY_ANALYSIS
         compressBypasses_.load(std::memory_order_relaxed);
     out.storedBytesPersisted =
         storedBytesPersisted_.load(std::memory_order_relaxed);
-    if (pool_) {
-        out.poolAvailablePages = pool_->available();
-        out.dirtyBudgetPages = pool_->totalPages();
-    } else {
-        out.dirtyBudgetPages = quotas;
-    }
+    out.poolAvailablePages = pool_->available();
+    out.dirtyBudgetPages = pool_->totalPages();
     return out;
 }
 

@@ -29,8 +29,8 @@
  * operations, so the durability invariant — summed dirty pages never
  * exceed the battery budget — holds at every instant while the fault
  * fast path touches only its shard's lock.  `shards = 1` (the
- * default) bypasses the pool entirely and behaves exactly like the
- * pre-sharding runtime.
+ * default) is a one-shard pool on the same path: no sibling to steal
+ * from, so a starved fault borrows from the pool or evicts locally.
  *
  * LOCK ORDERING.  Four lock classes exist; deadlock freedom rests on
  * these rules, each encoded as a Clang Thread Safety annotation
@@ -169,12 +169,11 @@ struct RuntimeConfig
     bool startEpochThread = true;
 
     /**
-     * Page-space shards (power of two).  1 — the default — is the
-     * unsharded runtime: one controller, one lock, no budget pool,
-     * bit-identical behaviour to the pre-sharding code.  0 picks a
-     * power of two bounded by the host's hardware concurrency, the
-     * page count, and half the dirty budget.  Sharded regions need
-     * `dirtyBudgetPages >= shards`.
+     * Page-space shards (power of two), each with its own
+     * controller and lock, all drawing from one budget pool.  1 — the
+     * default — is one shard.  0 picks a power of two bounded by the
+     * host's hardware concurrency, the page count, and half the dirty
+     * budget.  Regions need `dirtyBudgetPages >= shards`.
      */
     unsigned shards = 1;
 
@@ -243,7 +242,7 @@ struct RegionStats
     std::uint64_t dirtyPages = 0;
     std::uint64_t bytesPersisted = 0;
 
-    /** Shards in the region (1 = unsharded). */
+    /** Shards in the region. */
     std::uint64_t shards = 1;
 
     /** Write-protect substrate: true = userfaultfd-wp, false = the
@@ -282,10 +281,10 @@ struct RegionStats
     /** Runs degraded to per-page jobs by a backlogged copier ring. */
     std::uint64_t runFallbacks = 0;
 
-    /** Unassigned pages in the budget pool (0 when unsharded). */
+    /** Unassigned pages in the budget pool. */
     std::uint64_t poolAvailablePages = 0;
 
-    /** Summed per-shard quotas plus the pool (== battery budget). */
+    /** The budget pool's total (== battery budget). */
     std::uint64_t dirtyBudgetPages = 0;
 
     /** Scrub progress: durable pages checked against their commit
@@ -309,7 +308,7 @@ struct RegionStats
     std::uint64_t compressBypasses = 0;
     std::uint64_t storedBytesPersisted = 0;
 
-    /** Per-shard migration/backoff counters (empty when unsharded):
+    /** Per-shard migration/backoff counters, one entry per shard:
      *  where the aggregates above came from, so a skewed workload's
      *  hot shard is visible instead of averaged away. */
     struct ShardCounters
@@ -407,12 +406,13 @@ class NvRegion
     std::uint64_t flushAll();
 
     /**
-     * Retune the dirty budget at runtime.  Sharded regions shrink
-     * incrementally — one shard lock at a time under the retune
-     * mutex, destroying reclaimed quota so the pool total never
-     * rises transiently (evicting synchronously where a shard's
-     * dirty count no longer fits its shrunken quota).  On return the
-     * pool total equals `pages` and the summed dirty count fits it.
+     * Retune the dirty budget at runtime through core::retuneBudget.
+     * A shrink proceeds incrementally — one shard lock at a time
+     * under the retune mutex, destroying reclaimed quota so the pool
+     * total never rises transiently (evicting synchronously where a
+     * shard's dirty count no longer fits its shrunken quota).  On
+     * return the pool total equals `pages` and the summed dirty count
+     * fits it.
      */
     void setDirtyBudget(std::uint64_t pages) EXCLUDES(retuneLock_);
 
@@ -492,14 +492,6 @@ class NvRegion
      */
     bool stealQuotaFor(unsigned thief);
 
-    /**
-     * Re-derive every shard's quota watermarks from a retuned pool
-     * total (fair share = total / shards).  Called under the retune
-     * mutex, locking one shard at a time — no all-shards lock set, no
-     * new lock-order edges.
-     */
-    void rederiveWatermarks(std::uint64_t total_pages);
-
     RuntimeConfig config_;
     std::uint64_t pageSize_;
     std::uint64_t pageCount_;
@@ -515,7 +507,7 @@ class NvRegion
 
     std::vector<std::unique_ptr<Shard>> shards_;
 
-    /** Global battery budget; null when unsharded. */
+    /** Global battery budget every shard draws its quota from. */
     std::unique_ptr<core::BudgetPool> pool_;
 
     /** Background copiers; null when copierThreads == 0. */

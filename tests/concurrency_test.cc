@@ -287,54 +287,58 @@ TEST_F(ConcurrencyFixture, StoreStraddlingShardBoundary)
 
 TEST_F(ConcurrencyFixture, ConcurrentRetunesKeepInvariants)
 {
-    const RuntimeConfig cfg = shardedConfig(/*budget=*/64,
-                                            /*shards=*/4,
-                                            /*copier_threads=*/2);
-    auto region = NvRegion::create(makePath("retune"), 1_MiB, cfg);
-    char *base = static_cast<char *>(region->base());
-    const std::uint64_t pages = region->pageCount();
-    const std::uint64_t page_size = region->pageSize();
+    // One shard and four retune through the same pooled path.
+    for (const unsigned shards : {1u, 4u}) {
+        SCOPED_TRACE(shards);
+        const RuntimeConfig cfg = shardedConfig(/*budget=*/64, shards,
+                                                /*copier_threads=*/2);
+        auto region = NvRegion::create(
+            makePath("retune" + std::to_string(shards)), 1_MiB, cfg);
+        char *base = static_cast<char *>(region->base());
+        const std::uint64_t pages = region->pageCount();
+        const std::uint64_t page_size = region->pageSize();
 
-    // Fixed-work writers (a time- or flag-bounded loop can finish
-    // with zero scheduled iterations on a loaded single-CPU host):
-    // each thread performs a set number of writes, and the main
-    // thread keeps retuning until all the work is done.
-    constexpr std::uint64_t kOpsPerWriter = 4000;
-    std::atomic<std::uint64_t> remaining{2 * kOpsPerWriter};
-    std::vector<std::thread> writers;
-    for (unsigned tid = 0; tid < 2; ++tid) {
-        writers.emplace_back([&, tid]() {
-            Rng rng(77 + tid);
-            for (std::uint64_t op = 0; op < kOpsPerWriter; ++op) {
-                const std::uint64_t page = rng.nextBounded(pages);
-                base[page * page_size + tid] =
-                    static_cast<char>('a' + tid);
-                remaining.fetch_sub(1, std::memory_order_relaxed);
-            }
-        });
-    }
+        // Fixed-work writers (a time- or flag-bounded loop can finish
+        // with zero scheduled iterations on a loaded single-CPU
+        // host): each thread performs a set number of writes, and the
+        // main thread keeps retuning until all the work is done.
+        constexpr std::uint64_t kOpsPerWriter = 4000;
+        std::atomic<std::uint64_t> remaining{2 * kOpsPerWriter};
+        std::vector<std::thread> writers;
+        for (unsigned tid = 0; tid < 2; ++tid) {
+            writers.emplace_back([&, tid]() {
+                Rng rng(77 + tid);
+                for (std::uint64_t op = 0; op < kOpsPerWriter; ++op) {
+                    const std::uint64_t page = rng.nextBounded(pages);
+                    base[page * page_size + tid] =
+                        static_cast<char>('a' + tid);
+                    remaining.fetch_sub(1, std::memory_order_relaxed);
+                }
+            });
+        }
 
-    // Main thread retunes the budget under the writers, governor
-    // style, and takes coherent snapshots between retunes.  After a
-    // shrink returns, the summed dirty count fits the new total
-    // (and can only have been driven further down by the writers'
-    // evictions until the next grow).
-    std::uint64_t round = 0;
-    while (remaining.load(std::memory_order_relaxed) > 0) {
-        const std::uint64_t budget = (round++ % 2 == 0) ? 16 : 64;
-        region->setDirtyBudget(budget);
+        // Main thread retunes the budget under the writers, governor
+        // style, and takes coherent snapshots between retunes.  After
+        // a shrink returns, the summed dirty count fits the new total
+        // (and can only have been driven further down by the
+        // writers' evictions until the next grow).
+        std::uint64_t round = 0;
+        while (remaining.load(std::memory_order_relaxed) > 0) {
+            const std::uint64_t budget = (round++ % 2 == 0) ? 16 : 64;
+            region->setDirtyBudget(budget);
+            const RegionStats stats = region->stats();
+            EXPECT_EQ(stats.dirtyBudgetPages, budget);
+            EXPECT_LE(stats.dirtyPages, budget);
+            std::this_thread::yield();
+        }
+        for (std::thread &w : writers)
+            w.join();
+        EXPECT_GT(round, 0u);
+
         const RegionStats stats = region->stats();
-        EXPECT_EQ(stats.dirtyBudgetPages, budget);
-        EXPECT_LE(stats.dirtyPages, budget);
-        std::this_thread::yield();
+        EXPECT_LE(stats.dirtyPages, stats.dirtyBudgetPages);
+        EXPECT_GT(stats.writeFaults, 0u);
     }
-    for (std::thread &w : writers)
-        w.join();
-    EXPECT_GT(round, 0u);
-
-    const RegionStats stats = region->stats();
-    EXPECT_LE(stats.dirtyPages, stats.dirtyBudgetPages);
-    EXPECT_GT(stats.writeFaults, 0u);
 }
 
 TEST_F(ConcurrencyFixture, WatermarkHysteresisDoesNotPingPong)

@@ -21,6 +21,7 @@
 #include "core/manager.hh"
 #include "core/pressure.hh"
 #include "core/recency.hh"
+#include "core/safe_mode.hh"
 
 namespace viyojit::core
 {
@@ -989,6 +990,69 @@ TEST_F(ManagerFixture, SetDirtyBudgetRetunes)
         mgr->write(base + p * defaultPageSize, 8);
     mgr->setDirtyBudget(2);
     EXPECT_LE(mgr->dirtyPageCount(), 2u);
+}
+
+TEST_F(ManagerFixture, ShardedDomainRetunesThroughThePool)
+{
+    // Four simulated shards share one 64-page pool: quota 8 each,
+    // 32 pages available, borrow batch 8 (fair share 16: watermarks
+    // low 4, mid 8, high 16).
+    BudgetPool pool(64, 32);
+    std::vector<std::unique_ptr<ViyojitManager>> managers;
+    std::vector<ViyojitManager *> shards;
+    std::vector<Addr> bases;
+    for (std::uint32_t i = 0; i < 4; ++i) {
+        ViyojitConfig cfg;
+        cfg.dirtyBudgetPages = 8;
+        cfg.epochLength = 100_us;
+        managers.push_back(std::make_unique<ViyojitManager>(
+            ctx, ssd, cfg, mmu::MmuCostModel{}, 16, i));
+        managers.back()->controller().attachBudgetPool(&pool, 8);
+        managers.back()->controller().deriveQuotaWatermarks(16);
+        bases.push_back(managers.back()->vmmap(16 * defaultPageSize));
+        shards.push_back(managers.back().get());
+    }
+    ShardedBudgetDomain domain(pool, shards);
+
+    auto quotas = [&]() {
+        std::uint64_t sum = 0;
+        for (const ViyojitManager *shard : shards)
+            sum += shard->controller().dirtyBudget();
+        return sum;
+    };
+    for (std::size_t i = 0; i < 4; ++i) {
+        for (int p = 0; p < 6; ++p)
+            shards[i]->write(bases[i] + p * defaultPageSize, 8);
+    }
+    EXPECT_EQ(quotas() + pool.available(), pool.totalPages());
+
+    // Shrink to two pages per shard: every quota reaches the floor,
+    // evicting dirty pages that no longer fit.
+    domain.applyBudget(8);
+    EXPECT_EQ(pool.totalPages(), 8u);
+    EXPECT_EQ(quotas() + pool.available(), 8u);
+    for (ViyojitManager *shard : shards) {
+        EXPECT_EQ(shard->controller().dirtyBudget(), 2u);
+        EXPECT_LE(shard->dirtyPageCount(), 2u);
+        // Watermarks follow the share of 2 (low 1, mid 1, high 2):
+        // two spare pages reach the donation watermark, one above
+        // mid is donatable.  The old share's high of 16 would read 0.
+        shard->controller().flushAllDirty();
+        EXPECT_EQ(shard->controller().donatableQuotaGauge(), 1u);
+    }
+
+    // Grow: the pool takes the new pages, quotas stay where they were
+    // and shards borrow on demand.
+    domain.applyBudget(128);
+    EXPECT_EQ(pool.totalPages(), 128u);
+    EXPECT_EQ(pool.available(), 120u);
+    EXPECT_EQ(quotas() + pool.available(), 128u);
+    for (ViyojitManager *shard : shards) {
+        EXPECT_EQ(shard->controller().dirtyBudget(), 2u);
+        // Share 32 puts the high watermark back at 16: the same two
+        // spare pages are working headroom again.
+        EXPECT_EQ(shard->controller().donatableQuotaGauge(), 0u);
+    }
 }
 
 TEST_F(ManagerFixture, ViyojitWritesCostMoreThanBaseline)

@@ -208,6 +208,9 @@ TEST_F(RegionFixture, SetDirtyBudgetShrinks)
         data[p * ps] = 'x';
     region->setDirtyBudget(2);
     EXPECT_LE(region->stats().dirtyPages, 2u);
+    // The one-shard region retunes through its budget pool too.
+    EXPECT_EQ(region->stats().dirtyBudgetPages, 2u);
+    EXPECT_EQ(region->stats().perShard.size(), 1u);
     // And the budget holds for future writes.
     for (std::uint64_t p = 8; p < region->pageCount(); ++p) {
         data[p * ps] = 'y';
