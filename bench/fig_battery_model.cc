@@ -110,7 +110,9 @@ main()
             table.addRow({event,
                           Table::fmt(pack.effectiveJoules() / 1000.0,
                                      2),
-                          Table::fmt(manager.controller().dirtyBudget()),
+                          Table::fmt(manager.controller()
+                                         .budgetPool()
+                                         .totalPages()),
                           Table::fmt(manager.dirtyPageCount())});
         };
         row("fresh pack");

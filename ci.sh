@@ -106,7 +106,21 @@ fi
 echo "=== Release build ==="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-release -j "${JOBS}"
+# The runtime fixtures must delete every file their regions leave in
+# /tmp, each region's <path>.meta sidecar included: a count that grows
+# across the suite is a leak.
+count_fixture_files() {
+    find /tmp -maxdepth 1 \( -name 'viyojit_test_*' \
+        -o -name 'viyojit_conc_*' -o -name 'viyojit_rtkv_*' \) | wc -l
+}
+fixture_files_before=$(count_fixture_files)
 ctest --test-dir build-release --output-on-failure -j "${JOBS}"
+fixture_files_after=$(count_fixture_files)
+if (( fixture_files_after > fixture_files_before )); then
+    echo "ctest leaked $(( fixture_files_after - fixture_files_before ))" \
+         "file(s) into /tmp (viyojit_{test,conc,rtkv}_*)" >&2
+    exit 1
+fi
 
 # Concurrency gates (bench/abl_concurrency.cc):
 #  1. Sharding overhead: one thread over a sharded region must run

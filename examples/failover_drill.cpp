@@ -69,8 +69,12 @@ main()
         const auto pages =
             static_cast<std::uint64_t>(joules / joules_per_page);
         manager.setDirtyBudget(std::max<std::uint64_t>(pages, 1));
+        // The battery budget is the pool total, not the quota the
+        // controller currently holds.
         std::printf("  -> budget retuned to %llu pages\n",
-                    (unsigned long long)pages);
+                    (unsigned long long)manager.controller()
+                        .budgetPool()
+                        .totalPages());
     });
 
     core::PowerFailureInjector injector(manager, battery, power);

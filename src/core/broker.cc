@@ -34,7 +34,8 @@ BatteryBudgetBroker::addTenant(ViyojitManager &manager,
               ") exceed the machine budget (", totalPages_, ")");
 
     tenants_.push_back(
-        Tenant{&manager, policy, manager.controller().dirtyBudget()});
+        Tenant{&manager, policy,
+               manager.controller().budgetPool().totalPages()});
     recomputeEffectiveMins();
     rebalance();
 }

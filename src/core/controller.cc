@@ -8,10 +8,14 @@ namespace viyojit::core
 {
 
 DirtyBudgetController::DirtyBudgetController(PagingBackend &backend,
-                                             const ViyojitConfig &config)
+                                             const ViyojitConfig &config,
+                                             BudgetPool &pool,
+                                             const BudgetSplit &split)
     : backend_(backend),
       config_(config),
-      budget_(config.dirtyBudgetPages),
+      budget_(split.shardQuota),
+      pool_(pool),
+      borrowBatch_(std::max<std::uint64_t>(split.borrowBatch, 1)),
       tracker_(backend.pageCount()),
       recency_(backend.pageCount()),
       inFlight_(backend.pageCount(), 0),
@@ -28,8 +32,10 @@ DirtyBudgetController::DirtyBudgetController(PagingBackend &backend,
     // enters this path from its write-fault handler): pre-size the
     // budget-bounded fault-path structures to their fixpoint.
     recency_.reserveStaging(config.maxOutstandingIos);
-    recency_.reserveDirtyBound(budget_);
-    tracker_.reserve(budget_);
+    // Watermarks hang off the FAIR share, not the deliberately low
+    // initial quota, so a shard that warms up migrates toward its
+    // share in batches; this also reserves to the pool total.
+    deriveQuotaWatermarks(split.fairShare);
     backend_.setPersistClient(*this);
 }
 
@@ -37,18 +43,6 @@ bool
 DirtyBudgetController::isInFlight(PageNum page) const
 {
     return inFlight_[page] != 0;
-}
-
-void
-DirtyBudgetController::attachBudgetPool(BudgetPool *pool,
-                                        std::uint64_t borrow_batch)
-{
-    pool_ = pool;
-    borrowBatch_ = std::max<std::uint64_t>(borrow_batch, 1);
-    // Identity derivation until the owner states the per-shard fair
-    // share (2 * batch leaves the batch unclamped); the runtime and
-    // retuneBudget re-derive with the real share.
-    deriveQuotaWatermarks(2 * borrowBatch_);
 }
 
 void
@@ -61,11 +55,11 @@ DirtyBudgetController::deriveQuotaWatermarks(
     quotaLow_ = std::max<std::uint64_t>(1, batch / 2);
     quotaMid_ = std::max(quotaLow_, batch);
     quotaHigh_ = 2 * quotaMid_;
-    // A pooled shard's quota can grow to the whole battery budget
-    // via borrows; reserve to the pool total so those borrows never
-    // push a fault-path insert into a reallocation.
-    tracker_.reserve(pool_->totalPages());
-    recency_.reserveDirtyBound(pool_->totalPages());
+    // A shard's quota can grow to the whole battery budget via
+    // borrows; reserve to the pool total so those borrows never push
+    // a fault-path insert into a reallocation.
+    tracker_.reserve(pool_.totalPages());
+    recency_.reserveDirtyBound(pool_.totalPages());
     // The donatable gauge measures spare from quotaMid_, so moved
     // watermarks shift what steal sweeps may see.
     updateSpareGauge();
@@ -80,7 +74,7 @@ DirtyBudgetController::refillQuota(std::uint64_t min_take)
         spare < quotaMid_ ? quotaMid_ - spare : 0, min_take);
     if (want == 0)
         return false;
-    const std::uint64_t got = pool_->tryBorrow(want);
+    const std::uint64_t got = pool_.tryBorrow(want);
     budget_ += got;
     stats_.quotaBorrowedPages += got;
     if (got) {
@@ -99,7 +93,7 @@ DirtyBudgetController::maybeDonateSurplus()
     // CAS churn nobody will borrow against.  The post-drain surplus
     // stays local and steal-visible instead — the drain's caller
     // decides what happens to it.
-    if (!pool_ || emergencyFlush_)
+    if (emergencyFlush_)
         return false;
     const std::uint64_t used = tracker_.count();
     const std::uint64_t spare = budget_ > used ? budget_ - used : 0;
@@ -117,7 +111,7 @@ DirtyBudgetController::maybeDonateSurplus()
     budget_ -= give;
     stats_.quotaReturnedPages += give;
     ++stats_.proactiveDonations;
-    pool_->deposit(give);
+    pool_.deposit(give);
     updateSpareGauge();
     return true;
 }
@@ -125,8 +119,6 @@ DirtyBudgetController::maybeDonateSurplus()
 void
 DirtyBudgetController::rebalanceQuota()
 {
-    if (!pool_)
-        return;
     if (maybeDonateSurplus())
         return;
     const std::uint64_t used = tracker_.count();
@@ -141,7 +133,7 @@ DirtyBudgetController::makeRoomForAdmission(bool allow_evict)
     while (tracker_.count() >= budget_) {
         // Prefer growing the quota over evicting: a burst should
         // consume global battery slack before it costs SSD writes.
-        if (pool_ && refillQuota(1))
+        if (refillQuota(1))
             continue;
         if (budget_ == 0 || !allow_evict)
             return false; // need external quota before evicting
@@ -208,7 +200,7 @@ DirtyBudgetController::onWriteFault(PageNum page, bool allow_evict)
     // admission never reaches the spare == 0 slow path (and the
     // donor-sweep steal behind it) while the pool has pages.  One
     // branch in the common case; the CAS only fires on a crossing.
-    if (pool_ && budget_ - tracker_.count() < quotaLow_)
+    if (budget_ - tracker_.count() < quotaLow_)
         refillQuota(0);
 
     // Crossing the threshold triggers background flushes immediately
@@ -236,7 +228,7 @@ DirtyBudgetController::onHardwareDirty(PageNum page, bool allow_evict)
     tracker_.markDirty(page);
     recency_.recordUpdate(page);
     updateSpareGauge();
-    if (pool_ && budget_ - tracker_.count() < quotaLow_)
+    if (budget_ - tracker_.count() < quotaLow_)
         refillQuota(0);
     if (config_.continuousCopyTrigger)
         pumpProactiveCopies(page);
@@ -349,27 +341,23 @@ DirtyBudgetController::onEpochBoundary()
     // pumps, but never across an epoch boundary.
     flushPendingRun();
 
-    // Pooled shards breathe at epoch granularity: quota the burst no
-    // longer needs goes back to the global pool (minus one borrow
-    // batch of slack against the next burst).
+    // Shards breathe at epoch granularity: quota the burst no longer
+    // needs goes back to the global pool (minus one borrow batch of
+    // slack against the next burst).
     rebalanceQuota();
 }
 
 std::uint64_t
 DirtyBudgetController::currentThreshold() const
 {
-    // Pooled shards size the threshold by their entitlement — the
-    // local quota plus whatever the pool could still grant — not the
-    // transient quota alone: rebalanceQuota deliberately keeps the
-    // quota tight around the dirty count, and a threshold derived
-    // from it would proactively copy half the shard's dirty set
-    // every epoch no matter how much global budget sits unused.
-    // Entitlement restores the intended trigger: proactive copying
-    // ramps up as the *global* budget nears exhaustion (pool runs
-    // dry), exactly when a standalone controller would start copying.
-    const std::uint64_t reachable =
-        pool_ ? budget_ + pool_->available() : budget_;
-    return pressure_.threshold(reachable);
+    // Size the threshold by the entitlement, not the transient quota
+    // alone: rebalanceQuota deliberately keeps the quota tight around
+    // the dirty count, and a threshold derived from it would
+    // proactively copy half the shard's dirty set every epoch no
+    // matter how much global budget sits unused.  With the
+    // entitlement, proactive copying ramps up as the *global* budget
+    // nears exhaustion (the pool runs dry).
+    return pressure_.threshold(entitlement());
 }
 
 void
@@ -613,26 +601,6 @@ DirtyBudgetController::onPersistAborted(PageNum page)
     // path.  A later pump or emergency flush re-copies it.
     if (config_.continuousCopyTrigger)
         pumpProactiveCopies();
-}
-
-void
-DirtyBudgetController::setDirtyBudget(std::uint64_t pages)
-{
-    if (pages == 0)
-        fatal("dirty budget must be at least one page");
-    if (pool_)
-        fatal("a pooled shard's quota is managed by the budget pool; "
-              "retune the total with core::retuneBudget");
-    budget_ = pages;
-    // A grown budget raises the fault-path fixpoint; re-reserve off
-    // the fault path so faults still never allocate.
-    tracker_.reserve(budget_);
-    recency_.reserveDirtyBound(budget_);
-    // Shrinking below the current dirty count: evict synchronously
-    // until we fit (battery fade handling, section 8).
-    while (tracker_.count() > budget_)
-        evictOneBlocking();
-    updateSpareGauge();
 }
 
 std::uint64_t

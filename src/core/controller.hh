@@ -47,10 +47,10 @@ struct ControllerStats
     /** Copies abandoned after the backend exhausted its IO retries. */
     std::uint64_t abortedCopies = 0;
 
-    /** Quota pages borrowed from the attached budget pool. */
+    /** Quota pages borrowed from the budget pool. */
     std::uint64_t quotaBorrowedPages = 0;
 
-    /** Quota pages returned to the attached budget pool. */
+    /** Quota pages returned to the budget pool. */
     std::uint64_t quotaReturnedPages = 0;
 
     /** Coalesced run IOs submitted (2+ adjacent victims batched). */
@@ -85,25 +85,27 @@ struct ControllerStats
  * NvRegion::Shard, whose controller pointer is PT_GUARDED_BY the
  * shard lock — that annotation carries the machine-checked form of
  * this contract), or the single simulation thread for a
- * ViyojitManager.  Only the attached BudgetPool is itself
- * thread-safe.
+ * ViyojitManager.  Only the BudgetPool is itself thread-safe.
+ *
+ * Every controller is one shard of a BudgetPool, a lone controller
+ * included (its pool then has one shard).  `dirtyBudget()` is the
+ * shard's local quota, grown by borrowing `split.borrowBatch`-page
+ * slices from the pool when admissions hit it and shrunk back at
+ * epoch boundaries; the battery budget is the pool total.
  */
 class DirtyBudgetController : public PersistClient
 {
   public:
-    DirtyBudgetController(PagingBackend &backend,
-                          const ViyojitConfig &config);
-
     /**
-     * Attach a shared budget pool: `dirtyBudget()` becomes this
-     * shard's local quota, grown by borrowing `borrow_batch`-page
-     * slices from the pool when admissions hit the quota and shrunk
-     * back at epoch boundaries.  The caller still synchronizes the
-     * controller externally; only the pool itself is thread-safe.
+     * Start as one shard of `pool`, with the quota and borrow batch
+     * of `split` (core::splitBudget over the pool's shard set).
+     * config.dirtyBudgetPages is not read: the pool holds the budget.
      */
-    void attachBudgetPool(BudgetPool *pool, std::uint64_t borrow_batch);
+    DirtyBudgetController(PagingBackend &backend,
+                          const ViyojitConfig &config, BudgetPool &pool,
+                          const BudgetSplit &split);
 
-    BudgetPool *budgetPool() const { return pool_; }
+    BudgetPool &budgetPool() const { return pool_; }
 
     /**
      * (Re-)derive the spare-quota hysteresis watermarks from this
@@ -118,7 +120,7 @@ class DirtyBudgetController : public PersistClient
      * Both triggers restore spare to `mid`, so after any migration
      * the spare sits at least `mid - low` (= high - mid) away from
      * BOTH watermarks — two shards at a boundary cannot ping-pong a
-     * batch between them.  Called at attach, and again by
+     * batch between them.  Called at construction, and again by
      * core::retuneBudget whenever the total — and with it the fair
      * share — moves.  Also re-reserves the fault-path structures to
      * the pool total, so borrows into a grown total never allocate.
@@ -155,18 +157,17 @@ class DirtyBudgetController : public PersistClient
      * dirty count is within the (local) budget.
      *
      * @param allow_evict permit evicting this shard's own pages to
-     *        make room.  A pooled caller passes false on the first
-     *        try so a full quota reports failure instead of paying
-     *        an SSD write — spare quota idling in a sibling shard is
-     *        free, an eviction is not — and retries with true once
-     *        no sibling had any to give.
-     * @return false only in pooled mode, when the pool is empty and
-     *         the quota cannot cover the admission without an
-     *         eviction the caller disallowed (or, with allow_evict,
-     *         when the quota is zero outright).  Nothing was changed;
-     *         the caller must acquire quota (steal via
-     *         releaseDonatableQuota/the pool) and retry.  Standalone
-     *         controllers (no pool) always return true.
+     *        make room.  A caller with sibling shards passes false on
+     *        the first try so a full quota reports failure instead of
+     *        paying an SSD write — spare quota idling in a sibling
+     *        shard is free, an eviction is not — and retries with
+     *        true once no sibling had any to give.
+     * @return false only when the pool is empty and the quota cannot
+     *         cover the admission without an eviction the caller
+     *         disallowed (or, with allow_evict, when the quota is
+     *         zero outright).  Nothing was changed; the caller must
+     *         acquire quota (steal via releaseDonatableQuota/the
+     *         pool) and retry.
      */
     bool onWriteFault(PageNum page, bool allow_evict = true);
 
@@ -199,15 +200,6 @@ class DirtyBudgetController : public PersistClient
     void onPersistAborted(PageNum page) override;
 
     /**
-     * Retune the budget at runtime (battery fade, section 8).  If the
-     * new budget is below the current dirty count, pages are evicted
-     * synchronously until the count fits.  Standalone mode only: a
-     * pooled controller's quota moves through the pool, and its
-     * total through core::retuneBudget.
-     */
-    void setDirtyBudget(std::uint64_t pages);
-
-    /**
      * Give up to `want` pages of quota, never dropping the local
      * budget below `floor`; evicts synchronously while the dirty
      * count exceeds the shrunken quota.  The shrink half of
@@ -229,6 +221,17 @@ class DirtyBudgetController : public PersistClient
     std::uint64_t releaseDonatableQuota();
 
     std::uint64_t dirtyBudget() const { return budget_; }
+
+    /**
+     * What this shard could admit before it must evict: its quota
+     * plus whatever the pool could still grant (racy on a threaded
+     * substrate, like available()).  For a one-shard pool this is
+     * the battery budget itself.
+     */
+    std::uint64_t entitlement() const
+    {
+        return budget_ + pool_.available();
+    }
 
     /**
      * Emergency flush: persist every dirty page (power failure).
@@ -285,9 +288,10 @@ class DirtyBudgetController : public PersistClient
 
     /**
      * Make room for one admission: loop until the dirty count is
-     * under the budget, preferring a pool borrow (burst absorption,
-     * no IO) over a local eviction.  Returns false only in pooled
-     * mode with zero quota and an empty pool (see onWriteFault).
+     * under the quota, preferring a pool borrow (burst absorption,
+     * no IO) over a local eviction.  Returns false only with an
+     * empty pool and either zero quota or eviction disallowed (see
+     * onWriteFault).
      */
     bool makeRoomForAdmission(bool allow_evict);
 
@@ -377,9 +381,9 @@ class DirtyBudgetController : public PersistClient
     ViyojitConfig config_;
     std::uint64_t budget_;
 
-    /** Shared quota pool; null for a standalone controller. */
-    BudgetPool *pool_ = nullptr;
-    std::uint64_t borrowBatch_ = 1;
+    /** The pool this shard's quota is drawn from. */
+    BudgetPool &pool_;
+    std::uint64_t borrowBatch_;
 
     /** Spare-quota hysteresis band (deriveQuotaWatermarks). */
     std::uint64_t quotaLow_ = 0;

@@ -462,6 +462,28 @@ ViyojitManager::ViyojitManager(sim::SimContext &ctx, storage::Ssd &ssd,
                                const mmu::MmuCostModel &mmu_costs,
                                std::uint64_t capacity_pages,
                                std::uint32_t region_id)
+    : ViyojitManager(ctx, ssd, config, mmu_costs, capacity_pages,
+                     region_id, nullptr, BudgetSplit{})
+{
+}
+
+ViyojitManager::ViyojitManager(sim::SimContext &ctx, storage::Ssd &ssd,
+                               const ViyojitConfig &config,
+                               const mmu::MmuCostModel &mmu_costs,
+                               std::uint64_t capacity_pages,
+                               std::uint32_t region_id, BudgetPool &pool,
+                               const BudgetSplit &split)
+    : ViyojitManager(ctx, ssd, config, mmu_costs, capacity_pages,
+                     region_id, &pool, split)
+{
+}
+
+ViyojitManager::ViyojitManager(sim::SimContext &ctx, storage::Ssd &ssd,
+                               const ViyojitConfig &config,
+                               const mmu::MmuCostModel &mmu_costs,
+                               std::uint64_t capacity_pages,
+                               std::uint32_t region_id,
+                               BudgetPool *shared_pool, BudgetSplit split)
     : ctx_(ctx),
       ssd_(ssd),
       config_(config),
@@ -472,7 +494,7 @@ ViyojitManager::ViyojitManager(sim::SimContext &ctx, storage::Ssd &ssd,
 {
     if (capacity_pages == 0)
         fatal("NV capacity must be non-zero");
-    if (config.enforceBudget &&
+    if (config.enforceBudget && shared_pool == nullptr &&
         config.dirtyBudgetPages > capacity_pages) {
         warn("dirty budget exceeds capacity; clamping");
         config_.dirtyBudgetPages = capacity_pages;
@@ -484,8 +506,14 @@ ViyojitManager::ViyojitManager(sim::SimContext &ctx, storage::Ssd &ssd,
     zipScratch_.resize(common::pagezipBound(config_.pageSize));
 
     if (config_.enforceBudget) {
-        controller_ =
-            std::make_unique<DirtyBudgetController>(backend_, config_);
+        if (shared_pool == nullptr) {
+            split = splitBudget(config_.dirtyBudgetPages, 1);
+            ownPool_ = std::make_unique<BudgetPool>(
+                config_.dirtyBudgetPages, split.poolPages);
+            shared_pool = ownPool_.get();
+        }
+        controller_ = std::make_unique<DirtyBudgetController>(
+            backend_, config_, *shared_pool, split);
         // Even under the hardware assist, writeback-protected pages
         // fault; the controller waits out the copy and readmits.
         mmu_.setWriteFaultHandler(
@@ -573,9 +601,10 @@ ViyojitManager::write(Addr addr, std::uint64_t len)
                    !controller_->isInFlight(p)) {
             // Section 5.4: the MMU counted a new dirty page.  The
             // threshold interrupt costs OS time only when room must
-            // be made; mere counting is free.
+            // be made — a quota the pool can still top up needs none;
+            // mere counting is free.
             if (controller_->tracker().count() >=
-                controller_->dirtyBudget()) {
+                controller_->entitlement()) {
                 ctx_.clock().advance(
                     mmu_.costs().assistInterruptCost);
             }
@@ -861,11 +890,12 @@ ViyojitManager::scrubPass(std::uint64_t max_pages)
 
     // Budget awareness: scrubbing is strictly lower priority than
     // making flush headroom.  Yield the whole pass while the dirty
-    // set is within two pages of the budget or the device queue is
-    // full — the controller needs every slot it can get there.
+    // set is within two pages of what the controller may admit (its
+    // quota plus what the pool can still grant) or the device queue
+    // is full — the controller needs every slot it can get there.
     if (config_.enforceBudget &&
         controller_->tracker().count() + 2 >=
-            controller_->dirtyBudget()) {
+            controller_->entitlement()) {
         ++report.skippedBudget;
         return report;
     }
@@ -911,8 +941,14 @@ ViyojitManager::setDirtyBudget(std::uint64_t pages)
 {
     if (!config_.enforceBudget)
         fatal("baseline mode has no dirty budget");
-    config_.dirtyBudgetPages = pages;
-    controller_->setDirtyBudget(pages);
+    if (!ownPool_)
+        fatal("a shard of a shared budget pool is retuned through "
+              "its BudgetDomain");
+    retuneBudget(*ownPool_, 1, pages,
+                 [this](std::size_t,
+                        FunctionRef<void(DirtyBudgetController &)> fn) {
+                     fn(*controller_);
+                 });
 }
 
 DirtyBudgetController &

@@ -176,19 +176,36 @@ struct IoFaultStats
  * nothing here is annotated with a capability because there is no
  * lock to name.  The one exception is SimBackend's IO fault
  * counters, which tests read concurrently with simulated IO: they
- * are atomics materialized as coherent value snapshots.  When
- * managers shard one battery (ShardedBudgetDomain, the multi-shard
- * torture), the shared core::BudgetPool is the only thread-safe
- * seam, and its lock contracts live in budget_pool.hh.
+ * are atomics materialized as coherent value snapshots.  Every
+ * budgeted manager's controller draws from a core::BudgetPool — its
+ * own one-shard pool, or one shared by managers behind one battery
+ * (a BudgetDomain, the multi-shard torture); the pool is the only
+ * thread-safe seam, and its lock contracts live in budget_pool.hh.
  */
 class ViyojitManager
 {
   public:
+    /**
+     * A manager that owns a one-shard BudgetPool of
+     * config.dirtyBudgetPages (clamped to the capacity), split as
+     * core::splitBudget splits any pool.
+     */
     ViyojitManager(sim::SimContext &ctx, storage::Ssd &ssd,
                    const ViyojitConfig &config,
                    const mmu::MmuCostModel &mmu_costs,
                    std::uint64_t capacity_pages,
                    std::uint32_t region_id = 0);
+
+    /**
+     * One shard of a set of managers sharing `pool`: the controller
+     * starts at split.shardQuota, config.dirtyBudgetPages is not
+     * read, and the set is retuned together through a BudgetDomain.
+     */
+    ViyojitManager(sim::SimContext &ctx, storage::Ssd &ssd,
+                   const ViyojitConfig &config,
+                   const mmu::MmuCostModel &mmu_costs,
+                   std::uint64_t capacity_pages, std::uint32_t region_id,
+                   BudgetPool &pool, const BudgetSplit &split);
 
     ~ViyojitManager();
 
@@ -288,7 +305,11 @@ class ViyojitManager
     /** Current dirty-page count. */
     std::uint64_t dirtyPageCount() const;
 
-    /** Retune the dirty budget (battery capacity change). */
+    /**
+     * Retune the dirty budget (battery capacity change): moves the
+     * manager's own pool to `pages` through core::retuneBudget.  A
+     * shard of a shared pool is retuned through its BudgetDomain.
+     */
     void setDirtyBudget(std::uint64_t pages);
 
     bool isBaseline() const { return !config_.enforceBudget; }
@@ -336,6 +357,14 @@ class ViyojitManager
     std::uint64_t measuredStoredSize(PageNum page);
 
   private:
+    /** Shared body of the public constructors; `shared_pool` is
+     *  null when the manager owns its pool. */
+    ViyojitManager(sim::SimContext &ctx, storage::Ssd &ssd,
+                   const ViyojitConfig &config,
+                   const mmu::MmuCostModel &mmu_costs,
+                   std::uint64_t capacity_pages, std::uint32_t region_id,
+                   BudgetPool *shared_pool, BudgetSplit split);
+
     /**
      * PagingBackend implementation over the simulated substrate.
      *
@@ -507,6 +536,10 @@ class ViyojitManager
 
     mmu::Mmu mmu_;
     SimBackend backend_;
+
+    /** The one-shard pool, unless the manager joined a shared one;
+     *  declared before the controller, which draws from it. */
+    std::unique_ptr<BudgetPool> ownPool_;
     std::unique_ptr<DirtyBudgetController> controller_;
 
     /** Baseline-mode dirty set (no faults fire in that mode). */

@@ -8,43 +8,53 @@ namespace viyojit::core
 {
 
 // ---------------------------------------------------------------------
-// ShardedBudgetDomain
+// BudgetDomain
 // ---------------------------------------------------------------------
 
-ShardedBudgetDomain::ShardedBudgetDomain(
-    BudgetPool &pool, std::vector<ViyojitManager *> shards)
-    : pool_(pool), shards_(std::move(shards)),
-      nominal_(pool.totalPages())
+namespace
 {
-    if (shards_.empty())
-        fatal("sharded budget domain needs at least one shard");
+
+BudgetPool &
+poolOf(const std::vector<ViyojitManager *> &shards)
+{
+    if (shards.empty())
+        fatal("a budget domain needs at least one manager");
+    return shards.front()->controller().budgetPool();
+}
+
+} // namespace
+
+BudgetDomain::BudgetDomain(std::vector<ViyojitManager *> shards)
+    : shards_(std::move(shards)), pool_(poolOf(shards_)),
+      nominal_(pool_.totalPages())
+{
     for (ViyojitManager *shard : shards_) {
-        if (shard->controller().budgetPool() != &pool_)
-            fatal("every shard controller must draw from the "
-                  "domain's budget pool");
+        if (&shard->controller().budgetPool() != &pool_)
+            fatal("every manager of a budget domain must draw from "
+                  "one budget pool");
     }
 }
 
 std::uint64_t
-ShardedBudgetDomain::pageSize() const
+BudgetDomain::pageSize() const
 {
     return shards_.front()->config().pageSize;
 }
 
 storage::Ssd &
-ShardedBudgetDomain::ssd()
+BudgetDomain::ssd()
 {
     return shards_.front()->ssd();
 }
 
 sim::SimContext &
-ShardedBudgetDomain::ctx()
+BudgetDomain::ctx()
 {
     return shards_.front()->ctx();
 }
 
 void
-ShardedBudgetDomain::applyBudget(std::uint64_t pages)
+BudgetDomain::applyBudget(std::uint64_t pages)
 {
     // One simulation thread: the controllers need no lock.
     retuneBudget(pool_, shards_.size(), pages,
@@ -55,7 +65,7 @@ ShardedBudgetDomain::applyBudget(std::uint64_t pages)
 }
 
 double
-ShardedBudgetDomain::compressionFloorRatio() const
+BudgetDomain::compressionFloorRatio() const
 {
     double floor = shards_.front()
                        ->controller().tracker().floorRatio();
@@ -66,7 +76,7 @@ ShardedBudgetDomain::compressionFloorRatio() const
 }
 
 std::uint64_t
-ShardedBudgetDomain::summedDirtyPages() const
+BudgetDomain::summedDirtyPages() const
 {
     std::uint64_t sum = 0;
     for (const ViyojitManager *shard : shards_)
@@ -78,22 +88,6 @@ ShardedBudgetDomain::summedDirtyPages() const
 // SafeModeGovernor
 // ---------------------------------------------------------------------
 
-SafeModeGovernor::SafeModeGovernor(ViyojitManager &manager,
-                                   battery::Battery &battery,
-                                   battery::PowerModel power,
-                                   const SafeModeConfig &config)
-    : ownedDomain_(std::make_unique<ManagerBudgetDomain>(manager)),
-      domain_(*ownedDomain_),
-      battery_(battery),
-      power_(power),
-      config_(config),
-      nominalPages_(domain_.nominalBudgetPages()),
-      derivedPages_(nominalPages_),
-      appliedPages_(nominalPages_)
-{
-    init();
-}
-
 SafeModeGovernor::SafeModeGovernor(BudgetDomain &domain,
                                    battery::Battery &battery,
                                    battery::PowerModel power,
@@ -102,20 +96,14 @@ SafeModeGovernor::SafeModeGovernor(BudgetDomain &domain,
       battery_(battery),
       power_(power),
       config_(config),
+      minPages_(2 * domain.shardCount()),
       nominalPages_(domain_.nominalBudgetPages()),
       derivedPages_(nominalPages_),
       appliedPages_(nominalPages_)
 {
-    init();
-}
-
-void
-SafeModeGovernor::init()
-{
-    if (config_.minBudgetPages < 2)
-        fatal("safe-mode budget floor below the two-page minimum");
-    if (config_.writeThroughFloorPages < config_.minBudgetPages)
-        fatal("write-through floor below the budget floor");
+    if (config_.writeThroughFloorPages < minPages_)
+        fatal("write-through floor below the budget floor of two "
+              "pages per shard");
     if (config_.bandwidthSafetyFactor <= 0.0 ||
         config_.bandwidthSafetyFactor > 1.0)
         fatal("bandwidth safety factor must be in (0, 1]");
@@ -200,10 +188,10 @@ SafeModeGovernor::reevaluate()
     if (derivedPages_ <= config_.writeThroughFloorPages) {
         // Too degraded to buffer: pin at the floor so every further
         // write effectively evicts synchronously (write-through).
-        target = config_.minBudgetPages;
+        target = minPages_;
         mode = SafeMode::writeThrough;
     } else if (target < nominalPages_) {
-        target = std::max(target, config_.minBudgetPages);
+        target = std::max(target, minPages_);
         mode = SafeMode::degraded;
     }
 

@@ -23,13 +23,7 @@
  * and applies it through a BudgetDomain (which synchronously evicts
  * down to the new budget).  Below a floor the governor gives up on
  * buffering entirely and pins the budget at the straddling-store
- * minimum — effectively write-through.
- *
- * A BudgetDomain is whatever owns one battery's worth of dirty
- * budget: a single ViyojitManager (the classic case), or a sharded
- * set of managers drawing quotas from one core::BudgetPool — the
- * battery backs the SUM of the shards' dirty sets, so the governor
- * must retune the total, not any one shard.
+ * minimum, two pages per shard — effectively write-through.
  *
  * Battery capacity changes drive the governor through the battery's
  * capacity-listener hook; SSD degradation is picked up on every
@@ -41,7 +35,6 @@
 #define VIYOJIT_CORE_SAFE_MODE_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "battery/battery.hh"
@@ -53,125 +46,65 @@ namespace viyojit::core
 {
 
 /**
- * One battery's worth of governable dirty budget.  The governor
- * derives a safe total from battery/SSD health and applies it here;
- * the domain decides how the total maps onto controllers.
+ * One battery's worth of governable dirty budget: a BudgetPool and
+ * the managers drawing from it — one manager with its own one-shard
+ * pool, or a sharded set sharing one.  The battery backs the SUM of
+ * the shards' dirty sets, so the governor retunes the pool total,
+ * never one shard.
  */
 class BudgetDomain
 {
   public:
-    virtual ~BudgetDomain() = default;
+    /**
+     * Govern `shards`, which must all draw from one pool (the
+     * front manager's); their nominal budget is that pool's total
+     * now.
+     */
+    explicit BudgetDomain(std::vector<ViyojitManager *> shards);
 
     /** The configured (healthy-hardware) total budget. */
-    virtual std::uint64_t nominalBudgetPages() const = 0;
+    std::uint64_t nominalBudgetPages() const { return nominal_; }
+
+    std::size_t shardCount() const { return shards_.size(); }
 
     /** Bytes per page (flush-time arithmetic). */
-    virtual std::uint64_t pageSize() const = 0;
+    std::uint64_t pageSize() const;
 
     /** The device the emergency flush writes to. */
-    virtual storage::Ssd &ssd() = 0;
+    storage::Ssd &ssd();
 
     /** Simulation context (stats, event queue). */
-    virtual sim::SimContext &ctx() = 0;
+    sim::SimContext &ctx();
 
     /**
-     * Apply a new total budget, evicting synchronously wherever a
-     * dirty set no longer fits.  On return the domain's summed dirty
-     * count is within `pages`.
+     * Move the pool to a new total through core::retuneBudget, the
+     * retune the runtime's NvRegion shares: a grow lets shards
+     * borrow on demand, a shrink claws quota back — evicting
+     * synchronously wherever a dirty set no longer fits — so on
+     * return the summed dirty count is within `pages`.  The retune
+     * takes the pool's retune mutex, so the caller must not hold it
+     * (machine-checked: a governor callback fired while a retune is
+     * in progress on the same thread would self-deadlock).
      */
-    virtual void applyBudget(std::uint64_t pages) = 0;
+    void applyBudget(std::uint64_t pages) EXCLUDES(pool_.retuneLock());
 
     /**
      * Conservative floor of the copy-out compression ratio achieved
      * over the recent flush window (raw/stored, >= 1; see
-     * DirtyPageTracker::floorRatio).  The governor budgets the
-     * emergency flush with THIS — never the EWMA — so one burst of
+     * DirtyPageTracker::floorRatio), the most conservative across
+     * the shards: the battery backs the sum, so the worst shard's
+     * burst bounds them all.  The governor budgets the emergency
+     * flush with THIS — never the EWMA — so one burst of
      * incompressible pages cannot oversubscribe the battery.
-     * Domains without compression measurements return 1.
      */
-    virtual double compressionFloorRatio() const { return 1.0; }
-};
-
-/** BudgetDomain over a single manager (the unsharded case). */
-class ManagerBudgetDomain : public BudgetDomain
-{
-  public:
-    explicit ManagerBudgetDomain(ViyojitManager &manager)
-        : manager_(manager),
-          nominal_(manager.controller().dirtyBudget())
-    {}
-
-    std::uint64_t nominalBudgetPages() const override
-    {
-        return nominal_;
-    }
-
-    std::uint64_t pageSize() const override
-    {
-        return manager_.config().pageSize;
-    }
-
-    storage::Ssd &ssd() override { return manager_.ssd(); }
-    sim::SimContext &ctx() override { return manager_.ctx(); }
-
-    void applyBudget(std::uint64_t pages) override
-    {
-        manager_.setDirtyBudget(pages);
-    }
-
-    double compressionFloorRatio() const override
-    {
-        return manager_.controller().tracker().floorRatio();
-    }
-
-  private:
-    ViyojitManager &manager_;
-    std::uint64_t nominal_;
-};
-
-/**
- * BudgetDomain over a sharded manager set sharing one BudgetPool.
- * Every manager's controller must already be attached to `pool`;
- * applyBudget moves the pool to the new total through
- * core::retuneBudget, the retune the runtime's NvRegion shares: a
- * grow lets shards borrow on demand, a shrink claws quota back down
- * to the two-page straddling-store floor per shard whenever the total
- * allows.
- */
-class ShardedBudgetDomain : public BudgetDomain
-{
-  public:
-    ShardedBudgetDomain(BudgetPool &pool,
-                        std::vector<ViyojitManager *> shards);
-
-    std::uint64_t nominalBudgetPages() const override
-    {
-        return nominal_;
-    }
-
-    std::uint64_t pageSize() const override;
-    storage::Ssd &ssd() override;
-    sim::SimContext &ctx() override;
-
-    /**
-     * Retunes through core::retuneBudget, which takes
-     * the pool's retune mutex — so the caller must not hold it
-     * (machine-checked: a governor callback fired while a retune is
-     * in progress on the same thread would self-deadlock).
-     */
-    void applyBudget(std::uint64_t pages)
-        EXCLUDES(pool_.retuneLock()) override;
-
-    /** Most conservative floor across the shard set: the battery
-     *  backs the sum, so the worst shard's burst bounds them all. */
-    double compressionFloorRatio() const override;
+    double compressionFloorRatio() const;
 
     /** Summed dirty pages across the shard set. */
     std::uint64_t summedDirtyPages() const;
 
   private:
-    BudgetPool &pool_;
     std::vector<ViyojitManager *> shards_;
+    BudgetPool &pool_;
     std::uint64_t nominal_;
 };
 
@@ -186,8 +119,8 @@ enum class SafeMode
 
     /**
      * Degradation too deep for buffering: budget pinned at the
-     * two-page minimum, so every further write is effectively
-     * written through.
+     * two-pages-per-shard minimum, so every further write is
+     * effectively written through.
      */
     writeThrough,
 };
@@ -195,15 +128,11 @@ enum class SafeMode
 /** Governor tunables. */
 struct SafeModeConfig
 {
-    /** Derived budgets at or below this enter write-through mode. */
-    std::uint64_t writeThroughFloorPages = 8;
-
     /**
-     * Hard minimum applied budget; 2 is the smallest budget at which
-     * page-straddling stores make progress.  Sharded domains need
-     * 2 x shards — every shard keeps its own straddling guard.
+     * Derived budgets at or below this enter write-through mode.
+     * Must be at least the governor's floor, 2 pages per shard.
      */
-    std::uint64_t minBudgetPages = 2;
+    std::uint64_t writeThroughFloorPages = 8;
 
     /**
      * Battery time reserved for flush overheads that the bandwidth
@@ -250,12 +179,7 @@ struct SafeModeStats
 class SafeModeGovernor
 {
   public:
-    /** Govern a single manager (owns the adapter). */
-    SafeModeGovernor(ViyojitManager &manager, battery::Battery &battery,
-                     battery::PowerModel power,
-                     const SafeModeConfig &config = {});
-
-    /** Govern an arbitrary domain (caller keeps it alive). */
+    /** Govern `domain` (the caller keeps it alive). */
     SafeModeGovernor(BudgetDomain &domain, battery::Battery &battery,
                      battery::PowerModel power,
                      const SafeModeConfig &config = {});
@@ -300,6 +224,13 @@ class SafeModeGovernor
     /** Budget currently applied to the domain. */
     std::uint64_t appliedBudgetPages() const { return appliedPages_; }
 
+    /**
+     * The smallest budget ever applied: 2 pages per shard, the
+     * smallest budget at which page-straddling stores make progress
+     * in every shard.  Write-through pins the budget here.
+     */
+    std::uint64_t minBudgetPages() const { return minPages_; }
+
     const SafeModeStats &stats() const { return stats_; }
 
     const SafeModeConfig &config() const { return config_; }
@@ -308,15 +239,14 @@ class SafeModeGovernor
     std::uint64_t deriveBudgetPages() const;
     void apply(std::uint64_t pages, SafeMode mode);
     void scheduleNext(Tick interval);
-    void init();
-
-    /** Set only by the manager convenience ctor. */
-    std::unique_ptr<BudgetDomain> ownedDomain_;
 
     BudgetDomain &domain_;
     battery::Battery &battery_;
     battery::PowerModel power_;
     SafeModeConfig config_;
+
+    /** The straddling floor: 2 pages per shard of the domain. */
+    std::uint64_t minPages_;
 
     /** The configured (healthy-hardware) budget: never exceeded. */
     std::uint64_t nominalPages_;

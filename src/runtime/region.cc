@@ -737,20 +737,12 @@ NvRegion::NvRegion(const std::string &backing_path, std::uint64_t bytes,
     const unsigned shard_count =
         static_cast<unsigned>((pageCount_ + pps - 1) / pps);
 
-    if (budget < shard_count)
-        fatal("region needs a dirty budget of at least one page per "
-              "shard");
-    // Initial split leaves roughly half the budget in the pool as
-    // migration headroom for bursting shards.
-    const std::uint64_t per_shard_quota = std::clamp<std::uint64_t>(
-        budget / (2 * shard_count), 1, budget / shard_count);
-    pool_ = std::make_unique<core::BudgetPool>(
-        budget, budget - per_shard_quota * shard_count);
-    quotaBatch_ = std::max<std::uint64_t>(1, per_shard_quota / 4);
+    const core::BudgetSplit split =
+        core::splitBudget(budget, shard_count);
+    pool_ = std::make_unique<core::BudgetPool>(budget, split.poolPages);
 
     core::ViyojitConfig core_config;
     core_config.pageSize = pageSize_;
-    core_config.dirtyBudgetPages = per_shard_quota;
     core_config.maxOutstandingIos = config.maxOutstandingIos;
     core_config.coalesceRuns = config.coalesceRuns;
     core_config.maxRunPages = config.maxRunPages;
@@ -785,12 +777,7 @@ NvRegion::NvRegion(const std::string &backing_path, std::uint64_t bytes,
         common::MutexLock guard(shard->lock);
         shard->controller =
             std::make_unique<core::DirtyBudgetController>(
-                *shard->backend, core_config);
-        shard->controller->attachBudgetPool(pool_.get(), quotaBatch_);
-        // Watermarks hang off the FAIR share (budget / shards), not
-        // the deliberately-low initial quota, so a shard that warms
-        // up migrates toward its share in batches.
-        shard->controller->deriveQuotaWatermarks(budget / shard_count);
+                *shard->backend, core_config, *pool_, split);
         shard->gaugeView = shard->controller.get();
         shards_.push_back(std::move(shard));
     }
@@ -905,11 +892,12 @@ NvRegion::handleFault(void *addr)
     const PageNum page = (a - base) / pageSize_;
     Shard &shard = *shards_[shardOf(page)];
     const PageNum local = page - shard.firstPage;
-    // Shards first try to admit WITHOUT evicting: spare quota idling
-    // in the pool or a sibling is free, an eviction costs an SSD
-    // write.  Only once a full donor sweep finds no spare does the
-    // retry permit a local eviction.
-    bool allow_evict = false;
+    // Shards with siblings first try to admit WITHOUT evicting: spare
+    // quota idling in the pool or a sibling is free, an eviction
+    // costs an SSD write.  Only once a full donor sweep finds no
+    // spare does the retry permit a local eviction.  A lone shard has
+    // no sibling to steal from, so it may evict at once.
+    bool allow_evict = shards_.size() == 1;
     unsigned attempt = 0;
     for (;;) {
         {

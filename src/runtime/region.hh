@@ -513,10 +513,6 @@ class NvRegion
     /** Background copiers; null when copierThreads == 0. */
     std::unique_ptr<CopierPool> copiers_;
 
-    /** Pages moved per borrow between a shard and the budget pool:
-     *  a quarter of the initial per-shard quota. */
-    std::uint64_t quotaBatch_ = 1;
-
     std::thread epochThread_;
     std::atomic<bool> epochRunning_{false};
 

@@ -48,8 +48,11 @@ struct ConcurrencyFixture : public ::testing::Test
     void
     TearDown() override
     {
-        for (const std::string &path : cleanup)
+        for (const std::string &path : cleanup) {
             ::unlink(path.c_str());
+            // Every region writes a commit sidecar beside its file.
+            ::unlink((path + ".meta").c_str());
+        }
     }
 
     std::string

@@ -22,6 +22,7 @@
 #include "core/pressure.hh"
 #include "core/recency.hh"
 #include "core/safe_mode.hh"
+#include "pooled_controller.hh"
 
 namespace viyojit::core
 {
@@ -503,7 +504,8 @@ smallConfig(std::uint64_t budget)
 TEST(ControllerTest, FaultAdmitsAndUnprotects)
 {
     MockBackend backend(16);
-    DirtyBudgetController ctl(backend, smallConfig(4));
+    PooledController pooled(backend, smallConfig(4));
+    DirtyBudgetController &ctl = pooled.ctl;
     ctl.onWriteFault(3);
     EXPECT_FALSE(backend.isProtected(3));
     EXPECT_TRUE(ctl.tracker().isDirty(3));
@@ -513,7 +515,8 @@ TEST(ControllerTest, FaultAdmitsAndUnprotects)
 TEST(ControllerTest, BudgetNeverExceeded)
 {
     MockBackend backend(16);
-    DirtyBudgetController ctl(backend, smallConfig(4));
+    PooledController pooled(backend, smallConfig(4));
+    DirtyBudgetController &ctl = pooled.ctl;
     for (PageNum p = 0; p < 10; ++p) {
         ctl.onWriteFault(p);
         EXPECT_LE(ctl.tracker().count(), 4u);
@@ -524,7 +527,8 @@ TEST(ControllerTest, BudgetNeverExceeded)
 TEST(ControllerTest, BlockedEvictionProtectsBeforeCopy)
 {
     MockBackend backend(16);
-    DirtyBudgetController ctl(backend, smallConfig(2));
+    PooledController pooled(backend, smallConfig(2));
+    DirtyBudgetController &ctl = pooled.ctl;
     ctl.onWriteFault(0);
     ctl.onWriteFault(1);
     ctl.onWriteFault(2); // evicts one of 0/1
@@ -570,7 +574,8 @@ TEST(ControllerTest, AdmissionRechecksPageAfterWaitingForRoom)
     // completion would mark it clean while it stays writable, and
     // every later store to it would be lost.
     InterleavingBackend backend(16);
-    DirtyBudgetController ctl(backend, smallConfig(3));
+    PooledController pooled(backend, smallConfig(3));
+    DirtyBudgetController &ctl = pooled.ctl;
     ctl.onWriteFault(0);
     ctl.onWriteFault(1);
     ctl.onWriteFault(2);
@@ -606,14 +611,15 @@ TEST(ControllerTest, ZeroBudgetRejected)
 {
     MockBackend backend(16);
     EXPECT_THROW(
-        { DirtyBudgetController ctl(backend, smallConfig(0)); },
+        { PooledController pooled(backend, smallConfig(0)); },
         FatalError);
 }
 
 TEST(ControllerTest, EvictionPrefersLeastRecentlyUpdated)
 {
     MockBackend backend(16);
-    DirtyBudgetController ctl(backend, smallConfig(3));
+    PooledController pooled(backend, smallConfig(3));
+    DirtyBudgetController &ctl = pooled.ctl;
     ctl.onWriteFault(0);
     ctl.onWriteFault(1);
     ctl.onWriteFault(2);
@@ -633,7 +639,8 @@ TEST(ControllerTest, EpochPumpsProactiveCopiesTowardThreshold)
 {
     MockBackend backend(64);
     ViyojitConfig cfg = smallConfig(16);
-    DirtyBudgetController ctl(backend, cfg);
+    PooledController pooled(backend, cfg);
+    DirtyBudgetController &ctl = pooled.ctl;
     for (PageNum p = 0; p < 12; ++p)
         ctl.onWriteFault(p);
     // Burst of 12 new pages -> pressure 9 -> threshold 7.
@@ -648,7 +655,8 @@ TEST(ControllerTest, CompletionRefillsPipeline)
     MockBackend backend(64);
     ViyojitConfig cfg = smallConfig(8);
     cfg.maxOutstandingIos = 2;
-    DirtyBudgetController ctl(backend, cfg);
+    PooledController pooled(backend, cfg);
+    DirtyBudgetController &ctl = pooled.ctl;
     for (PageNum p = 0; p < 8; ++p)
         ctl.onWriteFault(p);
     ctl.onEpochBoundary();
@@ -663,7 +671,8 @@ TEST(ControllerTest, FaultOnInFlightPageWaits)
 {
     MockBackend backend(16);
     ViyojitConfig cfg = smallConfig(4);
-    DirtyBudgetController ctl(backend, cfg);
+    PooledController pooled(backend, cfg);
+    DirtyBudgetController &ctl = pooled.ctl;
     for (PageNum p = 0; p < 4; ++p)
         ctl.onWriteFault(p);
     ctl.onEpochBoundary(); // starts proactive copies
@@ -680,7 +689,8 @@ TEST(ControllerTest, RuntimeStyleRedirtyOfDirtyProtectedPage)
     // The runtime backend re-protects dirty pages each epoch; a fault
     // on a dirty page must not double-count it.
     MockBackend backend(16);
-    DirtyBudgetController ctl(backend, smallConfig(4));
+    PooledController pooled(backend, smallConfig(4));
+    DirtyBudgetController &ctl = pooled.ctl;
     ctl.onWriteFault(1);
     backend.protectPage(1); // epoch re-protection
     ctl.onWriteFault(1);
@@ -691,21 +701,24 @@ TEST(ControllerTest, RuntimeStyleRedirtyOfDirtyProtectedPage)
 TEST(ControllerTest, ShrinkBudgetEvictsDown)
 {
     MockBackend backend(16);
-    DirtyBudgetController ctl(backend, smallConfig(8));
+    PooledController pooled(backend, smallConfig(8));
+    DirtyBudgetController &ctl = pooled.ctl;
     for (PageNum p = 0; p < 8; ++p)
         ctl.onWriteFault(p);
-    ctl.setDirtyBudget(3);
+    pooled.retune(3);
     EXPECT_LE(ctl.tracker().count(), 3u);
-    EXPECT_EQ(ctl.dirtyBudget(), 3u);
+    EXPECT_EQ(pooled.pool.totalPages(), 3u);
+    EXPECT_EQ(ctl.entitlement(), 3u);
 }
 
 TEST(ControllerTest, GrowBudgetAllowsMoreDirty)
 {
     MockBackend backend(16);
-    DirtyBudgetController ctl(backend, smallConfig(2));
+    PooledController pooled(backend, smallConfig(2));
+    DirtyBudgetController &ctl = pooled.ctl;
     ctl.onWriteFault(0);
     ctl.onWriteFault(1);
-    ctl.setDirtyBudget(4);
+    pooled.retune(4);
     ctl.onWriteFault(2);
     ctl.onWriteFault(3);
     EXPECT_EQ(ctl.tracker().count(), 4u);
@@ -715,7 +728,8 @@ TEST(ControllerTest, GrowBudgetAllowsMoreDirty)
 TEST(ControllerTest, FlushAllDirtyEmptiesTracker)
 {
     MockBackend backend(32);
-    DirtyBudgetController ctl(backend, smallConfig(16));
+    PooledController pooled(backend, smallConfig(16));
+    DirtyBudgetController &ctl = pooled.ctl;
     for (PageNum p = 0; p < 10; ++p)
         ctl.onWriteFault(p);
     const std::uint64_t flushed = ctl.flushAllDirty();
@@ -726,7 +740,8 @@ TEST(ControllerTest, FlushAllDirtyEmptiesTracker)
 TEST(ControllerTest, FlushPageBlockingSinglePage)
 {
     MockBackend backend(16);
-    DirtyBudgetController ctl(backend, smallConfig(8));
+    PooledController pooled(backend, smallConfig(8));
+    DirtyBudgetController &ctl = pooled.ctl;
     ctl.onWriteFault(5);
     ctl.flushPageBlocking(5);
     EXPECT_FALSE(ctl.tracker().isDirty(5));
@@ -746,7 +761,8 @@ TEST_P(BudgetSweep, DirtyCountNeverExceedsBudget)
 {
     const auto [budget, theta] = GetParam();
     MockBackend backend(256);
-    DirtyBudgetController ctl(backend, smallConfig(budget));
+    PooledController pooled(backend, smallConfig(budget));
+    DirtyBudgetController &ctl = pooled.ctl;
     Rng rng(7);
     ZipfianDistribution dist(256, theta);
     for (int i = 0; i < 3000; ++i) {
@@ -997,22 +1013,23 @@ TEST_F(ManagerFixture, ShardedDomainRetunesThroughThePool)
     // Four simulated shards share one 64-page pool: quota 8 each,
     // 32 pages available, borrow batch 8 (fair share 16: watermarks
     // low 4, mid 8, high 16).
-    BudgetPool pool(64, 32);
+    const BudgetSplit split{.shardQuota = 8,
+                            .poolPages = 32,
+                            .borrowBatch = 8,
+                            .fairShare = 16};
+    BudgetPool pool(64, split.poolPages);
     std::vector<std::unique_ptr<ViyojitManager>> managers;
     std::vector<ViyojitManager *> shards;
     std::vector<Addr> bases;
     for (std::uint32_t i = 0; i < 4; ++i) {
         ViyojitConfig cfg;
-        cfg.dirtyBudgetPages = 8;
         cfg.epochLength = 100_us;
         managers.push_back(std::make_unique<ViyojitManager>(
-            ctx, ssd, cfg, mmu::MmuCostModel{}, 16, i));
-        managers.back()->controller().attachBudgetPool(&pool, 8);
-        managers.back()->controller().deriveQuotaWatermarks(16);
+            ctx, ssd, cfg, mmu::MmuCostModel{}, 16, i, pool, split));
         bases.push_back(managers.back()->vmmap(16 * defaultPageSize));
         shards.push_back(managers.back().get());
     }
-    ShardedBudgetDomain domain(pool, shards);
+    BudgetDomain domain(shards);
 
     auto quotas = [&]() {
         std::uint64_t sum = 0;

@@ -16,6 +16,7 @@
 #include "common/rng.hh"
 #include "core/controller.hh"
 #include "core/manager.hh"
+#include "pooled_controller.hh"
 
 namespace viyojit::core
 {
@@ -113,7 +114,8 @@ TEST(BackpressureTest, PumpRespectsDeviceLimit)
 {
     LimitedBackend backend(64, 3);
     ViyojitConfig cfg = config(8);
-    DirtyBudgetController controller(backend, cfg);
+    PooledController pooled(backend, cfg);
+    DirtyBudgetController &controller = pooled.ctl;
     for (PageNum p = 0; p < 8; ++p)
         controller.onWriteFault(p);
     controller.onEpochBoundary(); // pump wants up to 16, device caps 3
@@ -123,7 +125,8 @@ TEST(BackpressureTest, PumpRespectsDeviceLimit)
 TEST(BackpressureTest, CompletionsRefillUnderDeviceLimit)
 {
     LimitedBackend backend(64, 2);
-    DirtyBudgetController controller(backend, config(8));
+    PooledController pooled(backend, config(8));
+    DirtyBudgetController &controller = pooled.ctl;
     for (PageNum p = 0; p < 8; ++p)
         controller.onWriteFault(p);
     controller.onEpochBoundary();
@@ -140,7 +143,8 @@ TEST(GuardTest, LastAdmittedPageSurvivesThePump)
     // must not evict the first while the second is being admitted.
     LimitedBackend backend(16, 16);
     ViyojitConfig cfg = config(4);
-    DirtyBudgetController controller(backend, cfg);
+    PooledController pooled(backend, cfg);
+    DirtyBudgetController &controller = pooled.ctl;
     // Saturate the budget so the threshold forces evictions.
     for (PageNum p = 0; p < 4; ++p)
         controller.onWriteFault(p);
@@ -163,7 +167,8 @@ TEST(GuardTest, TinyBudgetStillMakesProgress)
     // Budget 2 is the minimum for straddling stores; alternating
     // admissions must not deadlock or panic.
     LimitedBackend backend(16, 16);
-    DirtyBudgetController controller(backend, config(2));
+    PooledController pooled(backend, config(2));
+    DirtyBudgetController &controller = pooled.ctl;
     for (int round = 0; round < 50; ++round) {
         controller.onWriteFault(round % 5);
         EXPECT_LE(controller.tracker().count(), 2u);
@@ -173,11 +178,12 @@ TEST(GuardTest, TinyBudgetStillMakesProgress)
 TEST(BudgetRetuneTest, ShrinkWithInFlightCopies)
 {
     LimitedBackend backend(64, 16);
-    DirtyBudgetController controller(backend, config(16));
+    PooledController pooled(backend, config(16));
+    DirtyBudgetController &controller = pooled.ctl;
     for (PageNum p = 0; p < 16; ++p)
         controller.onWriteFault(p);
     controller.onEpochBoundary(); // some copies now in flight
-    controller.setDirtyBudget(4);
+    pooled.retune(4);
     EXPECT_LE(controller.tracker().count(), 4u);
     while (backend.outstandingIos() > 0)
         backend.waitForAnyPersist();

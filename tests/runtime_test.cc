@@ -51,8 +51,11 @@ struct RegionFixture : public ::testing::Test
     void
     TearDown() override
     {
-        for (const std::string &path : cleanup)
+        for (const std::string &path : cleanup) {
             ::unlink(path.c_str());
+            // Every region writes a commit sidecar beside its file.
+            ::unlink((path + ".meta").c_str());
+        }
     }
 
     std::string
@@ -196,6 +199,23 @@ TEST_F(RegionFixture, ColdPagesGetCopiedProactively)
     }
     EXPECT_GT(region->stats().proactiveCopies, 0u);
     EXPECT_LT(region->stats().dirtyPages, 8u);
+}
+
+TEST_F(RegionFixture, LoneShardEvictsWithoutBackoff)
+{
+    // A one-shard region has no sibling to steal quota from, so a
+    // budget-limited fault evicts on its first try: no no-evict
+    // round trip, no empty steal sweep, no backoff step.
+    auto region = NvRegion::create(makePath("lone"), 256_KiB,
+                                   manualConfig(4));
+    char *data = static_cast<char *>(region->base());
+    const std::uint64_t ps = region->pageSize();
+    for (std::uint64_t p = 0; p < 16; ++p)
+        data[p * ps] = 'x';
+    const RegionStats stats = region->stats();
+    EXPECT_LE(stats.dirtyPages, 4u);
+    EXPECT_GT(stats.blockedEvictions + stats.shedEvictions, 0u);
+    EXPECT_EQ(stats.backoffRetries, 0u);
 }
 
 TEST_F(RegionFixture, SetDirtyBudgetShrinks)
