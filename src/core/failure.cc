@@ -30,26 +30,31 @@ PowerFailureInjector::inject()
 double
 PowerFailureInjector::currentHeadroomJoules() const
 {
-    // Use the wear-degraded bandwidth: headroom against the device we
-    // actually have, not the one on the spec sheet.
-    const double bandwidth = manager_.ssd().effectiveWriteBandwidth();
     // With compressed copy-out, the emergency flush moves stored
     // bytes, not raw bytes.  Credit the same conservative floor the
     // governor budgets with — the worst recently-observed per-page
     // ratio, never the EWMA — so this predictor and the budget
     // arithmetic agree on what "fits the window" means.
-    double floor_ratio = 1.0;
-    if (manager_.ssd().config().enableCompression) {
-        const double floor =
-            manager_.controller().tracker().floorRatio();
-        if (floor > 1.0)
-            floor_ratio = floor;
-    }
-    const double flush_seconds =
-        static_cast<double>(manager_.dirtyBytes()) / floor_ratio /
-        bandwidth;
-    const double needed = flush_seconds * power_.flushWatts();
-    return battery_.effectiveJoules() - needed;
+    const double floor_ratio =
+        manager_.ssd().config().enableCompression
+            ? manager_.controller().tracker().floorRatio()
+            : 1.0;
+    return battery_.effectiveJoules() -
+           predictedFlushJoules(manager_.dirtyBytes(), floor_ratio,
+                                manager_.ssd(), power_);
+}
+
+double
+predictedFlushJoules(std::uint64_t raw_bytes, double floor_ratio,
+                     const storage::Ssd &ssd,
+                     const battery::PowerModel &power)
+{
+    // The wear-degraded bandwidth: the device we actually have, not
+    // the one on the spec sheet.
+    const double flush_seconds = static_cast<double>(raw_bytes) /
+                                 (floor_ratio > 1.0 ? floor_ratio : 1.0) /
+                                 ssd.effectiveWriteBandwidth();
+    return flush_seconds * power.flushWatts();
 }
 
 } // namespace viyojit::core

@@ -44,6 +44,13 @@ struct FailureReport
     bool contentVerified = false;
 };
 
+/** Joules a last-gasp flush of `raw_bytes` dirty bytes needs, at
+ *  compression floor `floor_ratio` (no credit below 1); each caller
+ *  picks its own floor. */
+double predictedFlushJoules(std::uint64_t raw_bytes, double floor_ratio,
+                            const storage::Ssd &ssd,
+                            const battery::PowerModel &power);
+
 /** Injects power failures into a simulated manager. */
 class PowerFailureInjector
 {

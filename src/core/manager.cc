@@ -140,8 +140,8 @@ ViyojitManager::SimBackend::onAttemptComplete(PageNum page,
         // The expectation is the hash the attempt SUBMITTED: a page
         // redirtied while the copy was in flight still verifies (the
         // old content landed intact) and stays dirty in the tracker.
-        const std::uint64_t expected = it->second.submittedHash;
-        if (mgr_.ssd_.durableHash(mgr_.key(page)) != expected) {
+        if (!mgr_.commitIfDurable(page, it->second.submittedHash,
+                                  it->second.submittedStored)) {
             ++faultStats_.verifyFailures;
             mgr_.ctx_.stats().counter("io.verify_failures").increment();
             if (from_run) {
@@ -151,10 +151,8 @@ ViyojitManager::SimBackend::onAttemptComplete(PageNum page,
             retryOrAbort(page);
             return;
         }
-        const std::uint64_t stored = it->second.submittedStored;
         inFlight_.erase(it);
         abortedPages_.erase(page);
-        mgr_.commitSidecar(page, expected, stored);
         VIYOJIT_ASSERT(client_, "persist completion without client");
         client_->onPersistComplete(page);
         return;
@@ -375,16 +373,13 @@ ViyojitManager::SimBackend::persistPageBlocking(PageNum page)
         VIYOJIT_ASSERT(settled, "blocking write did not complete");
         // Read-back verify, same contract as the async path: ok from
         // the device does not grant durability until the image checks.
-        if (ok &&
-            mgr_.ssd_.durableHash(mgr_.key(page)) != expected) {
-            ok = false;
-            ++faultStats_.verifyFailures;
-            mgr_.ctx_.stats().counter("io.verify_failures").increment();
+        if (ok && mgr_.commitIfDurable(page, expected, stored)) {
+            abortedPages_.erase(page);
+            return;
         }
         if (ok) {
-            abortedPages_.erase(page);
-            mgr_.commitSidecar(page, expected, stored);
-            return;
+            ++faultStats_.verifyFailures;
+            mgr_.ctx_.stats().counter("io.verify_failures").increment();
         }
         ++faultStats_.retries;
         mgr_.ctx_.stats().counter("io.retries").increment();
@@ -502,7 +497,7 @@ ViyojitManager::ViyojitManager(sim::SimContext &ctx, storage::Ssd &ssd,
 
     data_.assign(capacity_pages * config_.pageSize, 0);
     versions_.assign(capacity_pages, 0);
-    sidecar_.assign(capacity_pages, SidecarEntry{});
+    sidecar_.assign(capacity_pages, CommitRecord{});
     zipScratch_.resize(common::pagezipBound(config_.pageSize));
 
     if (config_.enforceBudget) {
@@ -746,11 +741,9 @@ ViyojitManager::powerFailureFlush()
                                      // wrong image re-queues.
                                      if (status ==
                                              storage::IoStatus::ok &&
-                                         ssd_.durableHash(key(p)) ==
-                                             expected) {
+                                         commitIfDurable(p, expected,
+                                                         stored)) {
                                          baselineDirty_->markClean(p);
-                                         commitSidecar(p, expected,
-                                                       stored);
                                      } else {
                                          redo.push_back(p);
                                      }
@@ -772,28 +765,20 @@ ViyojitManager::powerFailureFlush()
 }
 
 bool
-ViyojitManager::verifyDurability() const
+ViyojitManager::commitIfDurable(PageNum page, std::uint64_t crc,
+                                std::uint64_t stored_len)
 {
-    for (PageNum p = 0; p < nextFreePage_; ++p) {
-        if (versions_[p] == 0)
-            continue;
-        if (ssd_.durableHash(key(p)) != pageContentHash(p))
-            return false;
-    }
+    VIYOJIT_ASSERT(page < sidecar_.size(), "page out of range");
+    if (ssd_.durableHash(key(page)) != crc)
+        return false;
+    sidecar_[page] = {.crc = crc,
+                      .storedLen = static_cast<std::uint32_t>(stored_len),
+                      .state = CommitState::committed};
     return true;
 }
 
-void
-ViyojitManager::commitSidecar(PageNum page, std::uint64_t crc,
-                              std::uint64_t stored_len)
-{
-    VIYOJIT_ASSERT(page < sidecar_.size(), "page out of range");
-    sidecar_[page] =
-        SidecarEntry{crc, ++nextCommitSeq_, stored_len, true};
-}
-
-const ViyojitManager::SidecarEntry &
-ViyojitManager::sidecarEntry(PageNum page) const
+const CommitRecord &
+ViyojitManager::commitRecord(PageNum page) const
 {
     VIYOJIT_ASSERT(page < sidecar_.size(), "page out of range");
     return sidecar_[page];
@@ -821,17 +806,19 @@ ViyojitManager::verifyDurabilityChecked() const
         ++report.pagesChecked;
         const std::uint64_t live = pageContentHash(p);
         const std::uint64_t durable = ssd_.durableHash(key(p));
-        const SidecarEntry &meta = sidecar_[p];
+        const CommitRecord &meta = sidecar_[p];
+        const bool committed_live =
+            meta.state == CommitState::committed && meta.crc == live;
 
         if (durable == live) {
             ++report.verifiedPages;
-            if (!meta.valid || meta.crc != live)
+            if (!committed_live)
                 ++report.staleMetaPages;
             continue;
         }
 
         ++report.mismatchedPages;
-        if (meta.valid && meta.crc == live) {
+        if (committed_live) {
             // The flush committed exactly this content after a
             // verified read-back; the medium has since diverged.
             ++report.silentCorruptPages;
@@ -873,10 +860,8 @@ ViyojitManager::repairPageBlocking(PageNum page)
             },
             stored);
         ctx_.events().runUntil(done);
-        if (ok && ssd_.durableHash(key(page)) == expected) {
-            commitSidecar(page, expected, stored);
+        if (ok && commitIfDurable(page, expected, stored))
             return true;
-        }
     }
     return false;
 }
@@ -888,18 +873,11 @@ ViyojitManager::scrubPass(std::uint64_t max_pages)
     if (nextFreePage_ == 0 || max_pages == 0)
         return report;
 
-    // Budget awareness: scrubbing is strictly lower priority than
-    // making flush headroom.  Yield the whole pass while the dirty
-    // set is within two pages of what the controller may admit (its
-    // quota plus what the pool can still grant) or the device queue
-    // is full — the controller needs every slot it can get there.
-    if (config_.enforceBudget &&
-        controller_->tracker().count() + 2 >=
-            controller_->entitlement()) {
-        ++report.skippedBudget;
-        return report;
-    }
-    if (!ssd_.canAccept()) {
+    // Scrubbing is strictly lower priority than making flush
+    // headroom: yield the whole pass near the budget or while the
+    // device queue is full.
+    if ((config_.enforceBudget && scrubShouldYield(*controller_)) ||
+        !ssd_.canAccept()) {
         ++report.skippedBudget;
         return report;
     }

@@ -29,6 +29,7 @@
 #include "common/types.hh"
 #include "core/config.hh"
 #include "core/controller.hh"
+#include "core/durable_image.hh"
 #include "core/paging_backend.hh"
 #include "mmu/mmu.hh"
 #include "sim/context.hh"
@@ -257,7 +258,10 @@ class ViyojitManager
      * True when the SSD image matches the live content version of
      * every page ever written (valid right after a flush).
      */
-    bool verifyDurability() const;
+    bool verifyDurability() const
+    {
+        return verifyDurabilityChecked().clean();
+    }
 
     /**
      * Checksum-path durability audit: verify every written page
@@ -277,27 +281,9 @@ class ViyojitManager
      */
     ScrubReport scrubPass(std::uint64_t max_pages);
 
-    /** Flush-commit sidecar entry for a page (test/audit hook). */
-    struct SidecarEntry
-    {
-        /** CRC32C committed for the page's last verified flush. */
-        std::uint64_t crc = 0;
-
-        /** Global commit sequence number (monotonic). */
-        std::uint64_t commitSeq = 0;
-
-        /**
-         * Stored (compressed) size of the committed image in bytes;
-         * 0 means the page landed raw.  The CRC above stays over the
-         * RAW page either way — recovery decompresses first, then
-         * verifies (DESIGN.md §11).
-         */
-        std::uint64_t storedLength = 0;
-
-        /** True once the page has had at least one verified commit. */
-        bool valid = false;
-    };
-    const SidecarEntry &sidecarEntry(PageNum page) const;
+    /** A page's flush-commit record (test/audit hook).  The
+     *  simulator seals no epochs, so its records carry none. */
+    const CommitRecord &commitRecord(PageNum page) const;
 
     /** Bytes that would need flushing if power failed now. */
     std::uint64_t dirtyBytes() const;
@@ -510,12 +496,11 @@ class ViyojitManager
     void scheduleNextEpoch();
     storage::StorageKey key(PageNum page) const;
 
-    /** Record a verified flush commit for `page` (checksum `crc`,
-     *  stored length `stored_len`; 0 = raw).  Ordered after
-     *  durability: called only from completion paths that have
-     *  already read the durable image back. */
-    void commitSidecar(PageNum page, std::uint64_t crc,
-                       std::uint64_t stored_len);
+    /** Read-back verify: when the durable image of `page` holds
+     *  `crc`, commit it (stored length `stored_len`; 0 = raw) and
+     *  return true.  A completed write grants nothing until then. */
+    bool commitIfDurable(PageNum page, std::uint64_t crc,
+                         std::uint64_t stored_len);
 
     /** True when `page` is neither dirty nor mid-copy (scrub/audit
      *  may trust its DRAM copy to match the durable image). */
@@ -548,9 +533,8 @@ class ViyojitManager
     std::vector<char> data_;
     std::vector<std::uint64_t> versions_;
 
-    /** Per-page flush-commit metadata (the sim's sidecar). */
-    std::vector<SidecarEntry> sidecar_;
-    std::uint64_t nextCommitSeq_ = 0;
+    /** Per-page flush-commit records (the sim's sidecar). */
+    std::vector<CommitRecord> sidecar_;
 
     /** Codec output scratch (pagezipBound(pageSize); reused, never
      *  grown — the copy-out path stays allocation-free). */

@@ -44,7 +44,6 @@ RecoveryManager::attachManifest(RecoveryManifest manifest)
     VIYOJIT_ASSERT(manifest.pages.size() >= pageCount_,
                    "manifest smaller than the region");
     manifest_ = std::move(manifest);
-    manifestAttached_ = true;
 }
 
 void
@@ -76,35 +75,17 @@ RecoveryManager::quarantine(PageNum page)
 bool
 RecoveryManager::checksumOk(PageNum page)
 {
-    if (!manifestAttached_)
-        return true;
-    const PageChecksum &expect = manifest_.pages[page];
-    if (!expect.valid)
-        return true; // never had a verified commit: nothing to check
-    const std::uint64_t durable =
-        ssd_.durableHash(storage::StorageKey{regionId_, page});
-    if (durable == expect.crc)
+    if (manifest_.pages.empty())
+        return true; // no manifest attached
+    const CommitRecord &expect = manifest_.pages[page];
+    // A page that never had a commit has nothing to check.
+    if (expect.state == CommitState::invalid ||
+        ssd_.durableHash(storage::StorageKey{regionId_, page}) ==
+            expect.crc)
         return true;
 
-    ++stats_.checksumMismatches;
+    stats_.count(classifyMismatch(expect, manifest_.lastSealedEpoch));
     ctx_.stats().counter("recovery.checksum_mismatches").increment();
-    // Classify by where the commit sits relative to the last sealed
-    // flush: newer-than-seal mismatches are the torn tail the crash
-    // is allowed to have produced; at-the-seal mismatches mean data
-    // moved past its sealed metadata (stale epoch); older mismatches
-    // are silent media corruption of a long-committed page.
-    if (expect.epoch > manifest_.lastSealedEpoch) {
-        ++stats_.tornRunPages;
-        ctx_.stats().counter("recovery.torn_run_pages").increment();
-    } else if (expect.epoch == manifest_.lastSealedEpoch) {
-        ++stats_.staleEpochPages;
-        ctx_.stats().counter("recovery.stale_epoch_pages").increment();
-    } else {
-        ++stats_.silentCorruptPages;
-        ctx_.stats()
-            .counter("recovery.silent_corrupt_pages")
-            .increment();
-    }
     return false;
 }
 

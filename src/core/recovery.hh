@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "core/durable_image.hh"
 #include "sim/context.hh"
 #include "storage/ssd.hh"
 
@@ -40,8 +41,9 @@ enum class RestoreStrategy
     demandPlusBackground,
 };
 
-/** Restore statistics. */
-struct RecoveryStats
+/** Restore statistics.  The mismatch counters are meaningful when a
+ *  manifest is attached. */
+struct RecoveryStats : MismatchCounts
 {
     std::uint64_t demandFetches = 0;
     std::uint64_t backgroundFetches = 0;
@@ -62,22 +64,6 @@ struct RecoveryStats
      */
     Tick fullyResidentAt = 0;
 
-    // Checksum verification (meaningful when a manifest is attached).
-
-    /** Reads whose durable content failed its manifest checksum. */
-    std::uint64_t checksumMismatches = 0;
-
-    /** Mismatches on commits newer than the last sealed epoch: the
-     *  torn tail of a flush the crash interrupted. */
-    std::uint64_t tornRunPages = 0;
-
-    /** Mismatches on commits AT the sealed boundary: data moved past
-     *  its sealed metadata (stale epoch). */
-    std::uint64_t staleEpochPages = 0;
-
-    /** Mismatches on long-sealed commits: silent media corruption. */
-    std::uint64_t silentCorruptPages = 0;
-
     // Quarantine escalation (replaces fatal()).
 
     /** Pages quarantined after exhausting all retry policy. */
@@ -91,30 +77,11 @@ struct RecoveryStats
     std::uint64_t sweepRevisitExhausted = 0;
 };
 
-/**
- * Expected flush-commit metadata for one page, reconstructed from
- * the durable sidecar and handed to recovery for verify-on-reload.
- */
-struct PageChecksum
-{
-    /** Committed CRC32C of the page content. */
-    std::uint64_t crc = 0;
-
-    /** Flush epoch (or commit sequence) the entry belongs to. */
-    std::uint64_t epoch = 0;
-
-    /** Run id of the flush batch that carried the page. */
-    std::uint64_t runId = 0;
-
-    /** False when the page never had a verified commit (skip it). */
-    bool valid = false;
-};
-
 /** Sidecar view for verify-on-reload. */
 struct RecoveryManifest
 {
-    /** Per-page expected checksums, indexed by page number. */
-    std::vector<PageChecksum> pages;
+    /** Per-page commit records, indexed by page number. */
+    std::vector<CommitRecord> pages;
 
     /**
      * Epoch boundary of the last sealed (header-committed) flush:
@@ -232,7 +199,6 @@ class RecoveryManager
     unsigned maxRevisitPasses_;
 
     RecoveryManifest manifest_;
-    bool manifestAttached_ = false;
 
     std::vector<std::uint8_t> resident_;
     std::uint64_t residentCount_ = 0;

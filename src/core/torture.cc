@@ -7,6 +7,7 @@
 
 #include "battery/fault_injector.hh"
 #include "common/rng.hh"
+#include "core/failure.hh"
 #include "core/manager.hh"
 #include "core/safe_mode.hh"
 #include "mmu/mmu.hh"
@@ -365,17 +366,13 @@ runTorture(const TortureConfig &torture)
         // With compressed copy-out, credit the WORST per-shard
         // compression floor — the bound the governor budgets with —
         // since the serialized flush ships stored bytes, not raw.
-        double floor_ratio = 1.0;
-        if (torture.compressFlush) {
-            const double worst = domain.compressionFloorRatio();
-            if (worst > 1.0)
-                floor_ratio = worst;
-        }
-        const double flush_seconds =
-            static_cast<double>(summed_dirty * config.pageSize) /
-            floor_ratio / ssd.effectiveWriteBandwidth();
-        const double headroom = battery.effectiveJoules() -
-                                flush_seconds * power.flushWatts();
+        const double headroom =
+            battery.effectiveJoules() -
+            predictedFlushJoules(
+                summed_dirty * config.pageSize,
+                torture.compressFlush ? domain.compressionFloorRatio()
+                                      : 1.0,
+                ssd, power);
         result.minHeadroomJoules =
             std::min(result.minHeadroomJoules, headroom);
         if (headroom < 0.0) {

@@ -18,6 +18,33 @@ namespace viyojit::runtime
 namespace
 {
 
+using core::CommitRecord;
+using core::CommitState;
+
+/** One page's commit record on disk (32 bytes, v2): `flags` holds
+ *  the CommitState, and `entryCrc` covers the 28 bytes before it, so
+ *  a torn entry write fails it. */
+struct MetaEntry
+{
+    std::uint32_t crc = 0;
+    std::uint32_t flags = 0;
+    std::uint64_t epoch = 0;
+    std::uint64_t runId = 0;
+    std::uint32_t storedLen = 0;
+    std::uint32_t entryCrc = 0;
+};
+
+static_assert(sizeof(MetaEntry) == 32, "on-disk entry layout");
+
+/** An entry slot no record was ever written to (all zero). */
+constexpr MetaEntry kNeverWritten{};
+
+constexpr std::uint32_t
+flagsOf(CommitState state)
+{
+    return static_cast<std::uint32_t>(state);
+}
+
 /** Sealed header as stored in each slot (64 bytes). */
 struct MetaHeader
 {
@@ -48,6 +75,20 @@ std::uint32_t
 entryCrcOf(const MetaEntry &e)
 {
     return common::crc32c(&e, kEntryCrcSpan);
+}
+
+/** The on-disk form of `r`, self-CRC included. */
+MetaEntry
+encodeEntry(const CommitRecord &r)
+{
+    MetaEntry e;
+    e.crc = static_cast<std::uint32_t>(r.crc);
+    e.flags = flagsOf(r.state);
+    e.epoch = r.epoch;
+    e.runId = r.runId;
+    e.storedLen = r.storedLen;
+    e.entryCrc = entryCrcOf(e);
+    return e;
 }
 
 /** File offset of `page`'s entry slot. */
@@ -145,7 +186,6 @@ MetaSidecar::open(const std::string &path, std::uint64_t page_count,
     sidecar->generation_ = best.generation;
     sidecar->lastSealedEpoch_ = best.lastSealedEpoch;
     sidecar->lastSealedRunId_ = best.lastSealedRunId;
-    sidecar->loadStats_.generation = best.generation;
 
     std::vector<MetaEntry> entries(page_count);
     if (preadFullyWithRetry(fd, entries.data(),
@@ -153,17 +193,17 @@ MetaSidecar::open(const std::string &path, std::uint64_t page_count,
                             kEntriesOffset) != 0) {
         // Unreadable entry table: recover as if every entry were
         // torn — pages verify as "no commit record" (unverified).
-        sidecar->loadStats_.badEntries = page_count;
+        sidecar->badEntries_ = page_count;
         return sidecar;
     }
     for (std::uint64_t p = 0; p < page_count; ++p) {
         const MetaEntry &e = entries[p];
-        if (e.flags == kInvalid && e.crc == 0 && e.epoch == 0 &&
-            e.runId == 0 && e.storedLen == 0 && e.entryCrc == 0)
-            continue; // never written — legitimately invalid
+        if (std::memcmp(&e, &kNeverWritten, sizeof(e)) == 0)
+            continue; // legitimately invalid
         if (e.entryCrc != entryCrcOf(e) ||
-            (e.flags != kPending && e.flags != kCommitted)) {
-            ++sidecar->loadStats_.badEntries;
+            (e.flags != flagsOf(CommitState::pending) &&
+             e.flags != flagsOf(CommitState::committed))) {
+            ++sidecar->badEntries_;
             continue;
         }
         Shadow &s = sidecar->shadow_[p];
@@ -171,7 +211,8 @@ MetaSidecar::open(const std::string &path, std::uint64_t page_count,
         s.epoch.store(e.epoch, std::memory_order_relaxed);
         s.runId.store(e.runId, std::memory_order_relaxed);
         s.storedLen.store(e.storedLen, std::memory_order_relaxed);
-        s.flags.store(e.flags, std::memory_order_relaxed);
+        s.state.store(static_cast<CommitState>(e.flags),
+                      std::memory_order_relaxed);
     }
     return sidecar;
 }
@@ -186,14 +227,9 @@ MetaSidecar::recordPage(PageNum page, std::uint32_t crc,
     s.epoch.store(epoch, std::memory_order_relaxed);
     s.runId.store(run_id, std::memory_order_relaxed);
     s.storedLen.store(stored_len, std::memory_order_relaxed);
-    s.flags.store(kPending, std::memory_order_relaxed);
-    MetaEntry e;
-    e.crc = crc;
-    e.flags = kPending;
-    e.epoch = epoch;
-    e.runId = run_id;
-    e.storedLen = stored_len;
-    e.entryCrc = entryCrcOf(e);
+    s.state.store(CommitState::pending, std::memory_order_relaxed);
+    const MetaEntry e = encodeEntry(
+        {crc, epoch, run_id, stored_len, CommitState::pending});
     if (pwriteFullyWithRetry(fd_, &e, sizeof(e), entryOffset(page)) !=
         0)
         entryWriteErrors_.fetch_add(1, std::memory_order_relaxed);
@@ -273,15 +309,9 @@ MetaSidecar::commitPending(int data_fd)
             word &= count == 64 ? 0 : ~(((1ULL << count) - 1) << lo);
             const PageNum first = w * 64 + lo;
             for (unsigned i = 0; i < count; ++i) {
-                const Shadow &s = shadow_[first + i];
-                MetaEntry &e = batch[i];
-                e.crc = s.crc.load(std::memory_order_acquire);
-                e.flags = kCommitted;
-                e.epoch = s.epoch.load(std::memory_order_relaxed);
-                e.runId = s.runId.load(std::memory_order_relaxed);
-                e.storedLen =
-                    s.storedLen.load(std::memory_order_relaxed);
-                e.entryCrc = entryCrcOf(e);
+                CommitRecord r = entry(first + i);
+                r.state = CommitState::committed;
+                batch[i] = encodeEntry(r);
             }
             if (const int e = pwriteFullyWithRetry(
                     fd_, batch, count * sizeof(MetaEntry),
@@ -292,8 +322,8 @@ MetaSidecar::commitPending(int data_fd)
                 continue;
             }
             for (unsigned i = 0; i < count; ++i)
-                shadow_[first + i].flags.store(
-                    kCommitted, std::memory_order_release);
+                shadow_[first + i].state.store(
+                    CommitState::committed, std::memory_order_release);
         }
     }
     if (const int e = fdatasyncWithRetry(fd_); e != 0 && error == 0)
@@ -328,17 +358,17 @@ MetaSidecar::seal(std::uint64_t epoch, std::uint64_t run_id)
     return 0;
 }
 
-MetaEntry
+CommitRecord
 MetaSidecar::entry(PageNum page) const
 {
     const Shadow &s = shadow_[page];
-    MetaEntry e;
-    e.flags = s.flags.load(std::memory_order_acquire);
-    e.crc = s.crc.load(std::memory_order_relaxed);
-    e.epoch = s.epoch.load(std::memory_order_relaxed);
-    e.runId = s.runId.load(std::memory_order_relaxed);
-    e.storedLen = s.storedLen.load(std::memory_order_relaxed);
-    return e;
+    CommitRecord r;
+    r.state = s.state.load(std::memory_order_acquire);
+    r.crc = s.crc.load(std::memory_order_relaxed);
+    r.epoch = s.epoch.load(std::memory_order_relaxed);
+    r.runId = s.runId.load(std::memory_order_relaxed);
+    r.storedLen = s.storedLen.load(std::memory_order_relaxed);
+    return r;
 }
 
 } // namespace viyojit::runtime

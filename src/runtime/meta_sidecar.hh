@@ -57,52 +57,10 @@
 #include <string>
 
 #include "common/types.hh"
+#include "core/durable_image.hh"
 
 namespace viyojit::runtime
 {
-
-/** One page's commit record as stored on disk (32 bytes, v2). */
-struct MetaEntry
-{
-    /**
-     * CRC32C of the RAW page content the flush carried — never the
-     * compressed stream.  Recovery decompresses first (when
-     * storedLen != 0), then verifies, so the codec and the checksum
-     * stay independent failure domains (DESIGN.md §11).
-     */
-    std::uint32_t crc = 0;
-
-    /** MetaSidecar::kInvalid / kPending / kCommitted. */
-    std::uint32_t flags = 0;
-
-    /** Flush epoch the persist belonged to. */
-    std::uint64_t epoch = 0;
-
-    /** Id of the flush submission (shared by a coalesced run). */
-    std::uint64_t runId = 0;
-
-    /**
-     * Stored length of the durable image in the page's slot: 0 = the
-     * full raw page; otherwise the pagezip stream's byte count (the
-     * slot's remainder is stale garbage, ignored by recovery).
-     */
-    std::uint32_t storedLen = 0;
-
-    /** CRC32C of the 28 bytes above; a torn entry write fails it. */
-    std::uint32_t entryCrc = 0;
-};
-
-static_assert(sizeof(MetaEntry) == 32, "on-disk entry layout");
-
-/** Recovery-time summary of what open() found. */
-struct MetaLoadStats
-{
-    /** Entries whose self-CRC failed (torn/rotted metadata). */
-    std::uint64_t badEntries = 0;
-
-    /** Highest valid header generation found (0 = none). */
-    std::uint64_t generation = 0;
-};
 
 /** The durable sidecar; one instance per NvRegion. */
 class MetaSidecar
@@ -111,17 +69,12 @@ class MetaSidecar
     static constexpr std::uint64_t kMagic = 0x3154454D4F594956ULL;
 
     /**
-     * v2 added MetaEntry::storedLen (compressed flush images).  v1
-     * files fail the header check and recover on the legacy
+     * v2 added the entry's stored length (compressed flush images).
+     * v1 files fail the header check and recover on the legacy
      * unverified path, exactly like a missing sidecar — acceptable
      * because the sidecar is an integrity cache, not data.
      */
     static constexpr std::uint32_t kVersion = 2;
-
-    /** Entry states (MetaEntry::flags). */
-    static constexpr std::uint32_t kInvalid = 0;
-    static constexpr std::uint32_t kPending = 1;
-    static constexpr std::uint32_t kCommitted = 2;
 
     static constexpr std::uint64_t kSlotOffset[2] = {0, 512};
     static constexpr std::uint64_t kEntriesOffset = 4096;
@@ -139,8 +92,8 @@ class MetaSidecar
      * Open an existing sidecar for recovery.  Returns nullptr when
      * the file is missing or no header slot validates (legacy image:
      * the caller recovers unverified and starts a fresh sidecar).
-     * Entries failing their self-CRC load as kInvalid and are
-     * counted in loadStats().
+     * Entries failing their self-CRC load as invalid and are counted
+     * in badEntries().
      */
     static std::unique_ptr<MetaSidecar> open(
         const std::string &path, std::uint64_t page_count,
@@ -190,9 +143,7 @@ class MetaSidecar
     // ---- recovery / inspection ---- //
 
     /** In-memory view of a page's entry (coherent snapshot). */
-    MetaEntry entry(PageNum page) const;
-
-    std::uint64_t pageCount() const { return pageCount_; }
+    core::CommitRecord entry(PageNum page) const;
 
     /** Epoch high-water mark of the last durable seal. */
     std::uint64_t lastSealedEpoch() const { return lastSealedEpoch_; }
@@ -200,7 +151,8 @@ class MetaSidecar
     /** Run-id high-water mark of the last durable seal. */
     std::uint64_t lastSealedRunId() const { return lastSealedRunId_; }
 
-    const MetaLoadStats &loadStats() const { return loadStats_; }
+    /** Entries open() found torn or rotted (self-CRC failed). */
+    std::uint64_t badEntries() const { return badEntries_; }
 
     /** Pending-entry pwrites that failed on the fault path. */
     std::uint64_t entryWriteErrors() const
@@ -221,7 +173,7 @@ class MetaSidecar
     struct Shadow
     {
         std::atomic<std::uint32_t> crc{0};
-        std::atomic<std::uint32_t> flags{0};
+        std::atomic<core::CommitState> state{core::CommitState::invalid};
         std::atomic<std::uint64_t> epoch{0};
         std::atomic<std::uint64_t> runId{0};
         std::atomic<std::uint32_t> storedLen{0};
@@ -243,8 +195,7 @@ class MetaSidecar
     std::uint64_t generation_ = 0;
     std::uint64_t lastSealedEpoch_ = 0;
     std::uint64_t lastSealedRunId_ = 0;
-
-    MetaLoadStats loadStats_;
+    std::uint64_t badEntries_ = 0;
 };
 
 } // namespace viyojit::runtime

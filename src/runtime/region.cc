@@ -695,8 +695,7 @@ NvRegion::NvRegion(const std::string &backing_path, std::uint64_t bytes,
         loadImage();
         if (meta_) {
             recoveryReport_.sidecarFound = true;
-            recoveryReport_.badEntries =
-                meta_->loadStats().badEntries;
+            recoveryReport_.badEntries = meta_->badEntries();
             verifyImage();
             // New commits must sort after everything the old
             // incarnation sealed.
@@ -1017,59 +1016,32 @@ NvRegion::verifyImage()
     const std::unordered_set<PageNum> unreadable(
         recoveryReport_.quarantined.begin(),
         recoveryReport_.quarantined.end());
-    const std::uint64_t sealed = meta_->lastSealedEpoch();
     std::vector<char> raw(pageSize_);
     for (PageNum p = 0; p < pageCount_; ++p) {
         if (unreadable.contains(p))
             continue; // already settled as bad by loadImage()
-        const MetaEntry e = meta_->entry(p);
-        if (e.flags == MetaSidecar::kInvalid) {
+        const core::CommitRecord e = meta_->entry(p);
+        if (e.state == core::CommitState::invalid) {
             ++recoveryReport_.unverifiedPages;
             continue;
         }
-        bool match;
-        if (e.storedLen != 0) {
-            // The slot holds a pagezip stream (loadImage read it
-            // into mem_ verbatim): decode into scratch, then verify
-            // the RAW-page CRC.  A codec failure is just another
-            // mismatch — the classification below decides torn vs
-            // stale vs silent, same as an uncompressed page.
-            match = e.storedLen <= pageSize_ &&
-                    common::pagezipDecompress(mem_ + p * pageSize_,
-                                              e.storedLen, raw.data(),
-                                              pageSize_) &&
-                    common::crc32c(raw.data(), pageSize_) == e.crc;
-            if (match) {
-                std::memcpy(mem_ + p * pageSize_, raw.data(),
-                            pageSize_);
+        // loadImage read the slot into mem_ verbatim; a compressed
+        // one verifies in scratch and replaces it decoded.
+        char *const slot = mem_ + p * pageSize_;
+        if (core::verifySlot(slot, e, pageSize_, raw.data())) {
+            if (e.storedLen != 0) {
+                std::memcpy(slot, raw.data(), pageSize_);
                 ++recoveryReport_.compressedPages;
             }
-        } else {
-            match = common::crc32c(mem_ + p * pageSize_,
-                                   pageSize_) == e.crc;
-        }
-        if (match) {
             ++recoveryReport_.verifiedPages;
             continue;
         }
-        ++recoveryReport_.checksumMismatches;
-        const char *cls;
-        if (e.flags == MetaSidecar::kPending || e.epoch > sealed) {
-            // An unpromoted record, or a commit newer than the last
-            // seal: the torn tail of a flush the crash interrupted.
-            ++recoveryReport_.tornRunPages;
-            cls = "torn flush tail";
-        } else if (e.epoch == sealed) {
-            ++recoveryReport_.staleEpochPages;
-            cls = "stale epoch";
-        } else {
-            ++recoveryReport_.silentCorruptPages;
-            cls = "silent corruption";
-        }
+        const core::MismatchClass cls =
+            core::classifyMismatch(e, meta_->lastSealedEpoch());
+        recoveryReport_.count(cls);
         recoveryReport_.quarantined.push_back(p);
-        warn("recovery: page ", p,
-             " failed checksum verification (", cls,
-             "); quarantined");
+        warn("recovery: page ", p, " failed checksum verification (",
+             core::mismatchClassName(cls), "); quarantined");
     }
 }
 
@@ -1087,7 +1059,7 @@ NvRegion::scrubTick(std::uint64_t max_pages)
         scrubCursor_ = (scrubCursor_ + 1) % pageCount_;
         // Cheap unlocked pre-filter; re-read authoritatively under
         // the shard lock below.
-        if (meta_->entry(page).flags != MetaSidecar::kCommitted)
+        if (meta_->entry(page).state != core::CommitState::committed)
             continue;
         Shard &shard = *shards_[shardOf(page)];
         const PageNum local = page - shard.firstPage;
@@ -1095,34 +1067,21 @@ NvRegion::scrubTick(std::uint64_t max_pages)
         // Budget-aware: stay out of a shard under dirty pressure,
         // and only check settled pages (clean, no IO in flight) so
         // the commit record is the page's current durable truth.
-        if (shard.controller->tracker().count() + 2 >=
-                shard.controller->dirtyBudget() ||
+        if (core::scrubShouldYield(*shard.controller) ||
             shard.controller->tracker().isDirty(local) ||
             shard.controller->isInFlight(local)) {
             scrubSkippedBusy_.fetch_add(1,
                                         std::memory_order_relaxed);
             continue;
         }
-        const MetaEntry e = meta_->entry(page);
-        if (e.flags != MetaSidecar::kCommitted)
+        const core::CommitRecord e = meta_->entry(page);
+        if (e.state != core::CommitState::committed)
             continue;
         ++scanned;
         scrubScanned_.fetch_add(1, std::memory_order_relaxed);
-        bool ok = false;
-        if (e.storedLen == 0) {
-            ok = preadFullyWithRetry(fd_, buf.data(), pageSize_,
-                                     page * pageSize_) == 0 &&
-                 common::crc32c(buf.data(), pageSize_) == e.crc;
-        } else if (e.storedLen <= pageSize_) {
-            // Compressed slot: read only the stream, decode, then
-            // check the RAW-page CRC (the slot remainder is stale).
-            ok = preadFullyWithRetry(fd_, buf.data(), e.storedLen,
-                                     page * pageSize_) == 0 &&
-                 common::pagezipDecompress(buf.data(), e.storedLen,
-                                           raw.data(), pageSize_) &&
-                 common::crc32c(raw.data(), pageSize_) == e.crc;
-        }
-        if (ok)
+        if (preadFullyWithRetry(fd_, buf.data(), pageSize_,
+                                page * pageSize_) == 0 &&
+            core::verifySlot(buf.data(), e, pageSize_, raw.data()))
             continue;
         scrubMismatches_.fetch_add(1, std::memory_order_relaxed);
         warn("scrub: durable copy of page ", page,

@@ -92,6 +92,7 @@
 #include "core/budget_pool.hh"
 #include "core/config.hh"
 #include "core/controller.hh"
+#include "core/durable_image.hh"
 #include "core/paging_backend.hh"
 #include "runtime/write_protect.hh"
 
@@ -321,8 +322,9 @@ struct RegionStats
     std::vector<ShardCounters> perShard;
 };
 
-/** What recovery found while reloading and verifying the image. */
-struct RuntimeRecoveryReport
+/** What recovery found while reloading and verifying the image; the
+ *  mismatch counters are classified as in DESIGN.md §10. */
+struct RuntimeRecoveryReport : core::MismatchCounts
 {
     /** A valid sidecar header was found and used for verification.
      *  False = legacy image: contents load unverified. */
@@ -333,15 +335,6 @@ struct RuntimeRecoveryReport
 
     /** Pages with no (valid) commit record — nothing to check. */
     std::uint64_t unverifiedPages = 0;
-
-    /** Pages whose content failed their commit record's CRC. */
-    std::uint64_t checksumMismatches = 0;
-
-    /** Mismatch classes (see DESIGN.md §10): torn flush tail,
-     *  data-ahead-of-sealed-metadata, silent media corruption. */
-    std::uint64_t tornRunPages = 0;
-    std::uint64_t staleEpochPages = 0;
-    std::uint64_t silentCorruptPages = 0;
 
     /** Sidecar entries whose own CRC failed (torn metadata). */
     std::uint64_t badEntries = 0;
@@ -439,7 +432,7 @@ class NvRegion
      * settled (clean, no IO in flight) committed pages against the
      * durable image and re-persist any whose durable copy diverged —
      * repairing silent corruption from the still-clean DRAM copy.
-     * Budget-aware: shards under dirty pressure are skipped.  The
+     * Budget-aware: yields per core::scrubShouldYield.  The
      * epoch thread drives this when scrubPagesPerEpoch > 0; tests
      * call it directly.
      */

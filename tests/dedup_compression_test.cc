@@ -211,10 +211,10 @@ TEST_F(ZipFixture, CompressedFlushCommitsStoredLength)
     manager.memWrite(base, "abcabcabc", 9);
     manager.powerFailureFlush();
     ASSERT_TRUE(manager.verifyDurability());
-    const auto &meta = manager.sidecarEntry(0);
-    ASSERT_TRUE(meta.valid);
-    EXPECT_GT(meta.storedLength, 0u);
-    EXPECT_LT(meta.storedLength, defaultPageSize);
+    const core::CommitRecord &meta = manager.commitRecord(0);
+    ASSERT_EQ(meta.state, core::CommitState::committed);
+    EXPECT_GT(meta.storedLen, 0u);
+    EXPECT_LT(meta.storedLen, defaultPageSize);
     // The device transferred the compressed size, not the raw page.
     EXPECT_LT(ssd.bytesWritten(), ssd.logicalBytesWritten());
 }

@@ -817,16 +817,16 @@ TEST_F(FaultedRecoveryFixture, SweepRevisitExhaustionQuarantines)
 TEST_F(FaultedRecoveryFixture, ManifestMismatchesClassifyByEpoch)
 {
     // No device faults: every failure below comes from checksum
-    // verification.  The image holds hash p+1 per page; three
-    // manifest entries lie, each on a different side of the sealed
-    // epoch boundary.
+    // verification.  The image holds hash p+1 per page; four commit
+    // records lie, three on different sides of the sealed epoch
+    // boundary and one still pending.
     RecoveryManifest manifest;
     manifest.lastSealedEpoch = 5;
     manifest.pages.resize(pages);
     for (PageNum p = 0; p < pages; ++p) {
         manifest.pages[p].crc = p + 1;
         manifest.pages[p].epoch = 4;
-        manifest.pages[p].valid = true;
+        manifest.pages[p].state = CommitState::committed;
     }
     manifest.pages[7].crc = 0xBAD;
     manifest.pages[7].epoch = 6; // newer than the seal: torn tail
@@ -834,6 +834,11 @@ TEST_F(FaultedRecoveryFixture, ManifestMismatchesClassifyByEpoch)
     manifest.pages[8].epoch = 5; // at the seal: stale epoch
     manifest.pages[9].crc = 0xBAD;
     manifest.pages[9].epoch = 3; // long sealed: silent corruption
+    manifest.pages[10].crc = 0xBAD;
+    manifest.pages[10].state = CommitState::pending; // torn tail
+    // A record with no commit is not checked, however wrong.
+    manifest.pages[11].crc = 0xBAD;
+    manifest.pages[11].state = CommitState::invalid;
 
     RecoveryManager recovery(ctx, ssd, 0, pages, pageSize,
                              RestoreStrategy::demandOnly,
@@ -845,17 +850,17 @@ TEST_F(FaultedRecoveryFixture, ManifestMismatchesClassifyByEpoch)
         recovery.access(p);
 
     const RecoveryStats &stats = recovery.stats();
-    EXPECT_EQ(stats.checksumMismatches, 3u);
-    EXPECT_EQ(stats.tornRunPages, 1u);
+    EXPECT_EQ(stats.checksumMismatches, 4u);
+    EXPECT_EQ(stats.tornRunPages, 2u);
     EXPECT_EQ(stats.staleEpochPages, 1u);
     EXPECT_EQ(stats.silentCorruptPages, 1u);
-    EXPECT_EQ(stats.demandRetryExhausted, 3u);
+    EXPECT_EQ(stats.demandRetryExhausted, 4u);
     EXPECT_EQ(recovery.quarantinedPages(),
-              (std::vector<PageNum>{7, 8, 9}));
+              (std::vector<PageNum>{7, 8, 9, 10}));
     // The clean majority verified and loaded normally.
     EXPECT_FALSE(recovery.isQuarantined(0));
     EXPECT_TRUE(recovery.fullyResident());
-    // Settlement includes the quarantined trio: the availability
+    // Settlement includes the quarantined pages: the availability
     // clock stops when the last page is DECIDED, not perfect.
     EXPECT_GT(stats.fullyResidentAt, 0u);
 }

@@ -7,8 +7,14 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.hh"
+#include <cstring>
+#include <vector>
+
+#include "common/checksum.hh"
 #include "common/logging.hh"
+#include "common/pagezip.hh"
+#include "common/rng.hh"
+#include "core/durable_image.hh"
 #include "core/recovery.hh"
 
 namespace viyojit::core
@@ -149,6 +155,74 @@ TEST_F(RecoveryFixture, InvalidConfigRejected)
     EXPECT_THROW(RecoveryManager(ctx, ssd, 0, pages, pageSize,
                                  RestoreStrategy::eager, 0),
                  FatalError);
+}
+
+// ---------------------------------------------------------------------
+// The durable-image rules both substrates share (core/durable_image).
+// ---------------------------------------------------------------------
+
+TEST(DurableImageTest, ClassifyMismatchByStateAndSealedEpoch)
+{
+    struct Row
+    {
+        CommitState state;
+        std::uint64_t epoch;
+        std::uint64_t sealed;
+        MismatchClass expect;
+    };
+    const Row rows[] = {
+        {CommitState::committed, 6, 5, MismatchClass::torn},
+        {CommitState::committed, 5, 5, MismatchClass::stale},
+        {CommitState::committed, 4, 5, MismatchClass::silent},
+        {CommitState::committed, 0, 5, MismatchClass::silent},
+        {CommitState::committed, 0, 0, MismatchClass::stale},
+        {CommitState::committed, 1, 0, MismatchClass::torn},
+        // An unpromoted record is torn wherever its epoch sits.
+        {CommitState::pending, 6, 5, MismatchClass::torn},
+        {CommitState::pending, 5, 5, MismatchClass::torn},
+        {CommitState::pending, 0, 5, MismatchClass::torn},
+    };
+    for (const Row &row : rows) {
+        const CommitRecord record{.epoch = row.epoch, .state = row.state};
+        EXPECT_EQ(classifyMismatch(record, row.sealed), row.expect)
+            << "state " << static_cast<int>(row.state) << " epoch "
+            << row.epoch << " sealed " << row.sealed;
+    }
+}
+
+TEST(DurableImageTest, VerifySlotChecksRawAndDecodedPages)
+{
+    constexpr std::size_t ps = 4096;
+    std::vector<char> page(ps, 'q');
+    std::memcpy(page.data(), "durable", 7);
+    const std::uint32_t crc = common::crc32c(page.data(), ps);
+    std::vector<char> raw(ps);
+
+    // A raw slot verifies in place; one flipped bit fails it.
+    CommitRecord record{.crc = crc, .state = CommitState::committed};
+    EXPECT_TRUE(verifySlot(page.data(), record, ps, raw.data()));
+    std::vector<char> rotted = page;
+    rotted[100] ^= 0x01;
+    EXPECT_FALSE(verifySlot(rotted.data(), record, ps, raw.data()));
+
+    // A compressed slot decodes into scratch and checks the raw CRC.
+    std::vector<std::uint8_t> slot(common::pagezipBound(ps));
+    const std::size_t stored = common::pagezipCompress(
+        page.data(), ps, slot.data(), slot.size());
+    ASSERT_GT(stored, 0u);
+    record.storedLen = static_cast<std::uint32_t>(stored);
+    EXPECT_TRUE(verifySlot(slot.data(), record, ps, raw.data()));
+    EXPECT_EQ(std::memcmp(raw.data(), page.data(), ps), 0);
+
+    // A record for other content, a rotted stream, and a stored
+    // length past the page are all mismatches.
+    CommitRecord other = record;
+    other.crc = crc ^ 1;
+    EXPECT_FALSE(verifySlot(slot.data(), other, ps, raw.data()));
+    slot[stored / 2] ^= 0x40;
+    EXPECT_FALSE(verifySlot(slot.data(), record, ps, raw.data()));
+    record.storedLen = ps + 1;
+    EXPECT_FALSE(verifySlot(slot.data(), record, ps, raw.data()));
 }
 
 } // namespace

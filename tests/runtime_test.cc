@@ -16,11 +16,14 @@
 #include <cerrno>
 
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/checksum.hh"
 #include "common/logging.hh"
+#include "common/pagezip.hh"
 #include "common/rng.hh"
 #include "runtime/meta_sidecar.hh"
 #include "runtime/region.hh"
@@ -711,11 +714,11 @@ TEST_F(RegionFixture, BatchedPromotionCommitsExactlyThePersistedRuns)
     {
         auto meta = MetaSidecar::open(meta_path, pages, ps);
         ASSERT_NE(meta, nullptr);
-        EXPECT_EQ(meta->loadStats().badEntries, 0u);
+        EXPECT_EQ(meta->badEntries(), 0u);
         for (std::uint64_t p = 0; p < pages; ++p)
-            EXPECT_EQ(meta->entry(p).flags,
-                      persisted[p] ? MetaSidecar::kCommitted
-                                   : MetaSidecar::kInvalid)
+            EXPECT_EQ(meta->entry(p).state,
+                      persisted[p] ? core::CommitState::committed
+                                   : core::CommitState::invalid)
                 << "page " << p;
     }
     auto region = NvRegion::recover(path, manualConfig(persisted_count));
@@ -730,6 +733,75 @@ TEST_F(RegionFixture, BatchedPromotionCommitsExactlyThePersistedRuns)
         EXPECT_EQ(data[p * ps + ps - 1],
                   persisted[p] ? 'a' + static_cast<int>(p % 26) : 0)
             << "page " << p;
+}
+
+TEST_F(RegionFixture, HandWrittenV2SidecarRecoversVerified)
+{
+    // The on-disk v2 format, written byte by byte rather than through
+    // MetaSidecar: a 64-byte header in slot (generation % 2) at 0 or
+    // 512, and one 32-byte entry per page from 4096 —
+    // {crc32c, flags 0/1/2, epoch, runId, storedLen, entryCrc}.  An
+    // image written this way must recover fully verified, including
+    // one compressed slot and one PENDING record.
+    const std::string path = makePath("v2format");
+    const std::uint64_t ps = 4096;
+    const std::uint64_t pages = 16;
+    std::vector<char> image(pages * ps);
+    for (std::uint64_t p = 0; p < pages; ++p)
+        for (std::uint64_t i = 0; i < ps; ++i)
+            image[p * ps + i] = static_cast<char>(p * 31 + i * 7);
+    std::memset(image.data() + 5 * ps, 'z', ps); // compresses well
+
+    std::vector<char> file = image;
+    std::vector<char> meta(4096 + pages * 32, 0);
+    const auto put = [](std::vector<char> &buf, std::size_t at,
+                        auto value) {
+        std::memcpy(buf.data() + at, &value, sizeof(value));
+    };
+    for (std::uint64_t p = 0; p < pages; ++p) {
+        const std::size_t at = 4096 + p * 32;
+        std::uint32_t stored = 0;
+        if (p == 5) {
+            std::vector<std::uint8_t> zip(common::pagezipBound(ps));
+            stored = static_cast<std::uint32_t>(common::pagezipCompress(
+                image.data() + p * ps, ps, zip.data(), zip.size()));
+            ASSERT_GT(stored, 0u);
+            std::memcpy(file.data() + p * ps, zip.data(), stored);
+        }
+        put(meta, at, common::crc32c(image.data() + p * ps, ps));
+        put(meta, at + 4, std::uint32_t{p == 9 ? 1u : 2u});
+        put(meta, at + 8, std::uint64_t{3});      // epoch
+        put(meta, at + 16, std::uint64_t{p / 4}); // run id
+        put(meta, at + 24, stored);
+        put(meta, at + 28, common::crc32c(meta.data() + at, 28));
+    }
+    // Generation 1 lands in slot 1; slot 0 stays zero (invalid).
+    const std::size_t h = 512;
+    put(meta, h, std::uint64_t{0x3154454D4F594956ULL}); // magic
+    put(meta, h + 8, std::uint32_t{2});                 // version
+    put(meta, h + 16, std::uint64_t{1});                // generation
+    put(meta, h + 24, std::uint64_t{3});                // sealed epoch
+    put(meta, h + 32, std::uint64_t{3});                // sealed run
+    put(meta, h + 40, pages);
+    put(meta, h + 48, ps);
+    put(meta, h + 56, common::crc32c(meta.data() + h, 56));
+    {
+        std::ofstream out(path, std::ios::binary);
+        out.write(file.data(), static_cast<std::streamsize>(file.size()));
+        std::ofstream out_meta(path + ".meta", std::ios::binary);
+        out_meta.write(meta.data(),
+                       static_cast<std::streamsize>(meta.size()));
+    }
+
+    auto region = NvRegion::recover(path, manualConfig(8));
+    const RuntimeRecoveryReport &report = region->recoveryReport();
+    EXPECT_TRUE(report.sidecarFound);
+    EXPECT_EQ(report.badEntries, 0u);
+    EXPECT_EQ(report.verifiedPages, pages);
+    EXPECT_EQ(report.compressedPages, 1u);
+    EXPECT_EQ(report.checksumMismatches, 0u);
+    EXPECT_TRUE(report.quarantined.empty());
+    EXPECT_EQ(std::memcmp(region->base(), image.data(), image.size()), 0);
 }
 
 TEST_F(RegionFixture, ScrubTickRepairsRottedDurableCopy)
@@ -772,6 +844,105 @@ TEST_F(RegionFixture, ScrubTickRepairsRottedDurableCopy)
     // A second pass finds nothing new to repair.
     region->scrubTick(region->pageCount());
     EXPECT_EQ(region->stats().scrubMismatches, 1u);
+}
+
+TEST_F(RegionFixture, ScrubRunsWhilePoolHoldsSpareQuota)
+{
+    // A one-shard region keeps part of its budget in the pool.  The
+    // scrubber yields near what the shard may admit (quota plus
+    // pool), not near its quota alone, so a few dirty pages under a
+    // small quota must not stop it.
+    const std::string path = makePath("scrubpool");
+    const std::uint64_t ps = 4096;
+    auto region = NvRegion::create(path, 64_KiB, manualConfig(8));
+    char *data = static_cast<char *>(region->base());
+    for (std::uint64_t p = 0; p < region->pageCount(); ++p)
+        std::memset(data + p * ps, 'A' + static_cast<int>(p), ps);
+    region->flushAll();
+    for (int i = 0; i < 4; ++i)
+        region->epochTick();
+    for (std::uint64_t p = 0; p < 3; ++p)
+        data[p * ps] = 'z';
+    ASSERT_EQ(region->stats().dirtyPages, 3u);
+    ASSERT_EQ(region->stats().poolAvailablePages, 4u);
+
+    // Rot clean page 9's durable copy while the region is live.
+    {
+        const int fd = ::open(path.c_str(), O_RDWR);
+        ASSERT_GE(fd, 0);
+        char byte;
+        ASSERT_EQ(::pread(fd, &byte, 1, 9 * ps + 100), 1);
+        byte ^= 0x08;
+        ASSERT_EQ(::pwrite(fd, &byte, 1, 9 * ps + 100), 1);
+        ::close(fd);
+    }
+
+    region->scrubTick(region->pageCount());
+    const RegionStats stats = region->stats();
+    EXPECT_EQ(stats.scrubScanned, region->pageCount() - 3);
+    EXPECT_EQ(stats.scrubSkippedBusy, 3u);
+    EXPECT_EQ(stats.scrubMismatches, 1u);
+    EXPECT_EQ(stats.scrubRepaired, 1u);
+}
+
+TEST_F(RegionFixture, RecoveryCountsEachMismatchClassApart)
+{
+    // One page of each class, each rotted in a crash image:
+    //  - silent: committed in an epoch before the last seal;
+    //  - stale: committed in the sealed epoch;
+    //  - torn: recorded PENDING by a persist with no barrier since.
+    const std::string path = makePath("classes");
+    const std::string crash = makePath("classes_crash");
+    const std::uint64_t ps = 4096;
+    PageNum torn = 0;
+    {
+        auto region = NvRegion::create(path, 64_KiB, manualConfig(8));
+        char *data = static_cast<char *>(region->base());
+        data[1 * ps] = 's';
+        region->flushAll(); // page 1 committed and sealed
+        region->epochTick();
+        data[2 * ps] = 'e';
+        region->flushAll(); // page 2 committed in the newer seal
+        // More pages than the budget: copies and evictions persist
+        // some of them PENDING, and only a barrier would promote them.
+        for (std::uint64_t p = 3; p < 13; ++p)
+            data[p * ps] = 't';
+        std::filesystem::copy_file(path, crash);
+        std::filesystem::copy_file(path + ".meta", crash + ".meta");
+    }
+    {
+        auto meta = MetaSidecar::open(crash + ".meta", 16, ps);
+        ASSERT_NE(meta, nullptr);
+        const std::uint64_t sealed = meta->lastSealedEpoch();
+        EXPECT_EQ(meta->entry(1).state, core::CommitState::committed);
+        EXPECT_EQ(meta->entry(1).epoch + 1, sealed);
+        EXPECT_EQ(meta->entry(2).state, core::CommitState::committed);
+        EXPECT_EQ(meta->entry(2).epoch, sealed);
+        for (PageNum p = 3; p < 13 && torn == 0; ++p)
+            if (meta->entry(p).state == core::CommitState::pending)
+                torn = p;
+        ASSERT_NE(torn, 0u);
+    }
+    {
+        const int fd = ::open(crash.c_str(), O_RDWR);
+        ASSERT_GE(fd, 0);
+        for (const PageNum p : {PageNum{1}, PageNum{2}, torn}) {
+            char byte;
+            ASSERT_EQ(::pread(fd, &byte, 1, p * ps + 7), 1);
+            byte ^= 0x10;
+            ASSERT_EQ(::pwrite(fd, &byte, 1, p * ps + 7), 1);
+        }
+        ::close(fd);
+    }
+    auto region = NvRegion::recover(crash, manualConfig(8));
+    const RuntimeRecoveryReport &report = region->recoveryReport();
+    EXPECT_TRUE(report.sidecarFound);
+    EXPECT_EQ(report.checksumMismatches, 3u);
+    EXPECT_EQ(report.silentCorruptPages, 1u);
+    EXPECT_EQ(report.staleEpochPages, 1u);
+    EXPECT_EQ(report.tornRunPages, 1u);
+    EXPECT_EQ(report.quarantined,
+              (std::vector<PageNum>{1, 2, torn}));
 }
 
 // ---------------------------------------------------------------------
